@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import mpmath
 
-from .errors import NoRealPrimitiveCharacter, NotPrimitive
+from .errors import LabelOutOfRange, NoRealPrimitiveCharacter, NotPrimitive
 from .precision import PrecisionConfig, default_precision
 
 
@@ -93,8 +93,6 @@ def kronecker_symbol(d: int, n: int) -> int:
         n //= 2
         if d % 8 in (3, 5):
             t = -t
-    if d < 0 and False:  # n > 0 throughout, no (d/-1) factor needed
-        pass
     a = d % n
     # Jacobi symbol (a/n), n odd positive
     while a != 0:
@@ -295,8 +293,8 @@ def enumerate_characters(q: int) -> list[DirichletCharacter]:
 def character_by_label(q: int, label: int) -> DirichletCharacter:
     chars = enumerate_characters(q)
     if not 0 <= label < len(chars):
-        raise ValueError(f"label {label} out of range for modulus {q} "
-                         f"({len(chars)} characters)")
+        raise LabelOutOfRange(f"label {label} out of range for modulus {q} "
+                              f"({len(chars)} characters)")
     return chars[label]
 
 

@@ -20,9 +20,9 @@ from .arith import choose_M, li_arith
 from .characters import (DirichletCharacter, character_by_label,
                          enumerate_characters, real_primitive_character)
 from .errors import DirichletLiError, InsufficientZeros
-from .lfunc import (ZeroList, find_zeros, find_zeros_upper, height_for_count,
-                    n_formula, read_zeros, write_zeros)
-from .precision import PrecisionConfig, default_precision
+from .lfunc import (ZeroList, find_zeros_upper, height_for_count, n_formula,
+                    read_zeros, write_zeros)
+from .precision import PrecisionConfig
 from .tables import TABLES
 
 CSV_COLUMNS = ("n", "lambda_arith", "bound_arith", "M",
@@ -77,11 +77,10 @@ def _zero_source(args, chi: DirichletCharacter, n_max: int) -> ZeroList:
               f"(the 10^-{k} tail target wanted T={T:.0f}); "
               "pass --zeros FILE for longer lists", file=sys.stderr)
         T = T_cap
-    if chi.is_real:
-        return find_zeros(chi, T)
-    print(f"note: complex character {chi.modulus}.{chi.label}; using its "
-          "upper-half-plane zeros with the factor-2 convention",
-          file=sys.stderr)
+    if not chi.is_real:
+        print(f"note: complex character {chi.modulus}.{chi.label}; using its "
+              "upper-half-plane zeros with the factor-2 convention",
+              file=sys.stderr)
     return find_zeros_upper(chi, T)
 
 
@@ -129,7 +128,7 @@ def cmd_zeros(args) -> int:
     else:
         print("error: need --tmax or --zeros-count", file=sys.stderr)
         return 2
-    zl = find_zeros(chi, T) if chi.is_real else find_zeros_upper(chi, T)
+    zl = find_zeros_upper(chi, T)
     expected = n_formula(T, chi.modulus) if T >= 1 else 0.0
     print(f"found {len(zl)} zeros of L(s, chi_{chi.modulus}.{chi.label}) with "
           f"0 < gamma <= {T:g} (counting formula: {expected:.2f})")
@@ -170,7 +169,7 @@ def _li_rows(args, chi, ns, methods) -> tuple[list[dict], bool]:
             if args.pair and ra.complex_character:
                 row["lambda_pair"] = 2 * ra.value
         if "zeros" in methods:
-            rz = zerosum.li_zero_sum(n, zl, prec=prec)
+            rz = zerosum.li_zero_sum(n, zl)
             row.update(lambda_zeros=rz.value, bound_zeros=rz.error_bound,
                        N=rz.params.N, T=rz.params.T)
             pos = pos and rz.positive
@@ -197,6 +196,9 @@ def cmd_compare(args) -> int:
     chi = _select_character(args.q, args.label)
     prec = PrecisionConfig(working_bits=args.prec_bits) if args.prec_bits else None
     ns = [n for n in args.n if n >= 1]
+    if not ns:
+        print("error: compare needs some n >= 1", file=sys.stderr)
+        return 2
     zl = _zero_source(args, chi, max(ns))
     all_ok = True
     t0 = time.perf_counter()
@@ -205,7 +207,7 @@ def cmd_compare(args) -> int:
         arith[n] = li_arith(n, chi, choose_M(n, args.nu), prec)
     t_arith = time.perf_counter() - t0
     t0 = time.perf_counter()
-    zsum = {n: zerosum.li_zero_sum(n, zl, prec=prec) for n in ns}
+    zsum = {n: zerosum.li_zero_sum(n, zl) for n in ns}
     t_zeros = time.perf_counter() - t0
     print(f"character {chi.modulus}.{chi.label}; zero list of {len(zl)} "
           f"ordinates to T={zl.height:g}")
@@ -260,7 +262,7 @@ def cmd_table(args) -> int:
     else:
         count = args.zeros_count or 10 ** 4
         T = height_for_count(chi.modulus, count)
-        zl = find_zeros(chi, T) if chi.is_real else find_zeros_upper(chi, T)
+        zl = find_zeros_upper(chi, T)
     if len(zl) < 10 ** 4:
         raise InsufficientZeros(
             f"table reproduction needs >= 10^4 zeros, got {len(zl)}")

@@ -10,6 +10,10 @@ class NoRealPrimitiveCharacter(DirichletLiError):
     """No quadratic character of the requested conductor exists."""
 
 
+class LabelOutOfRange(DirichletLiError, ValueError):
+    """No character with the requested label exists for the modulus."""
+
+
 class NotPrimitive(DirichletLiError):
     """Operation requires a primitive character."""
 

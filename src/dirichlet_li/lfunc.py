@@ -162,29 +162,20 @@ def completeness_tolerance(T: float) -> float:
     return 2 + math.log(T)
 
 
-def find_zeros(chi: DirichletCharacter, T_max: float,
-               prec: PrecisionConfig | None = None) -> ZeroList:
+def find_zeros(chi: DirichletCharacter, T_max: float) -> ZeroList:
     """All zeros with 0 < gamma <= T_max of L(s, chi) for real primitive
-    non-principal chi, by grid scanning of the rotated real function and
-    lockstep regula-falsi refinement to ~1e-11; the count is checked against
-    the smooth counting formula within +-(2 + log T_max) after at most one
-    4x grid refinement."""
-    if chi.is_principal:
-        raise PrincipalCharacter("principal character not supported")
+    non-principal chi: find_zeros_upper restricted to real characters."""
     if not chi.is_real:
         raise ComplexCharacterUnsupported("zero finding is restricted to real characters")
-    if T_max < 1:
-        raise ValueError("need T_max >= 1")
-    gammas, _h = fastzeros.find_zeros_fast(
-        chi, T_max, lambda T: n_formula(T, chi), completeness_tolerance(T_max))
-    records = tuple(ZeroRecord(gamma=float(g)) for g in gammas)
-    return ZeroList(chi_id=(chi.modulus, chi.label), records=records,
-                    height=float(T_max), provenance="computed")
+    return find_zeros_upper(chi, T_max)
 
 
 def find_zeros_upper(chi: DirichletCharacter, T_max: float) -> ZeroList:
     """Zeros with 0 < gamma <= T_max for any primitive non-principal chi,
-    real or complex.
+    real or complex, by grid scanning of the rotated real function and
+    lockstep regula-falsi refinement to ~1e-11; the count is checked against
+    the smooth counting formula within +-(2 + log T_max) after at most one
+    4x grid refinement.
 
     For a complex character the zero set is not conjugate-symmetric and this
     one-sided list captures only the upper half plane; the returned list is

@@ -18,7 +18,7 @@ import mpmath
 # rounded result meets the 2^(-working_bits + GUARD_BITS) remainder contract.
 GUARD_BITS = 10
 
-# Default working precision for zero-sum evaluations.
+# Default working precision of PrecisionConfig (arithmetic route, L / xi).
 ZERO_SUM_BITS = 96
 
 _ENV_BITS = "LI_PREC_BITS"

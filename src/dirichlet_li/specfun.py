@@ -1,9 +1,9 @@
 """High-precision special functions backing every formula in the package.
 
-Hurwitz zeta by Euler-Maclaurin, integer zeta values, polygamma closed forms
-at 1 and 1/2, exact Bernoulli numbers, the Lambert W branch W_{-1}, Chebyshev
-polynomials evaluated trigonometrically, associated Laguerre L^1 polynomials,
-log-Gamma by Stirling with a Bernoulli tail, and big binomials.
+Hurwitz zeta by Euler-Maclaurin, integer zeta values, exact Bernoulli
+numbers, the Lambert W branch W_{-1}, Chebyshev T evaluated
+trigonometrically, associated Laguerre L^1 polynomials, and log-Gamma by
+Stirling with a Bernoulli tail.
 
 All operations are pure; the Bernoulli cache is guarded by a lock so it is
 safe under concurrent readers.
@@ -57,13 +57,6 @@ def bernoulli(n: int) -> Fraction:
             _bernoulli_cache[m] = -acc / (m + 1)
         _bernoulli_max = max(_bernoulli_max, n)
     return _bernoulli_cache[n]
-
-
-def big_binomial(n: int, j: int) -> int:
-    """Exact C(n, j)."""
-    if not 0 <= j <= n:
-        raise ValueError(f"need 0 <= j <= n, got n={n}, j={j}")
-    return math.comb(n, j)
 
 
 # ----------------------------------------------------------------------------
@@ -191,28 +184,6 @@ def zeta_int(j: int, prec: PrecisionConfig | None = None) -> mpmath.mpf:
     return val
 
 
-def polygamma_closed(j: int, at_half: bool, prec: PrecisionConfig | None = None) -> mpmath.mpf:
-    """psi^(j-1)(1) or psi^(j-1)(1/2) in closed form.
-
-    j = 1: -gamma, resp. -gamma - 2 log 2.
-    j >= 2: (-1)^j (j-1)! zeta(j), resp. (-1)^j (j-1)! (2^j - 1) zeta(j).
-    """
-    if j < 1:
-        raise ValueError("need j >= 1")
-    prec = prec or default_precision()
-    with prec.workprec():
-        if j == 1:
-            val = -mpmath.euler
-            if at_half:
-                val -= 2 * mpmath.log(2)
-            return +val
-        sign = 1 if j % 2 == 0 else -1
-        val = sign * mpmath.factorial(j - 1) * zeta_int(j, prec)
-        if at_half:
-            val *= mpmath.mpf(2) ** j - 1
-        return +val
-
-
 # ----------------------------------------------------------------------------
 # Lambert W, branch W_{-1}
 
@@ -274,23 +245,6 @@ def chebyshev_T(n: int, x, prec: PrecisionConfig | None = None) -> mpmath.mpf:
         if abs(x) > 1:
             raise OutOfDomain(f"|x| <= 1 required, got {x}")
         return +mpmath.cos(n * mpmath.acos(x))
-
-
-def chebyshev_U(n: int, x, prec: PrecisionConfig | None = None) -> mpmath.mpf:
-    """U_n(x) = sin((n+1) arccos x) / sin(arccos x), with the x -> +-1 limits."""
-    if n < 0:
-        raise ValueError("need n >= 0")
-    prec = prec or default_precision()
-    with prec.workprec(GUARD_BITS + 20 + max(1, n).bit_length()):
-        x = mpmath.mpf(x)
-        if abs(x) > 1:
-            raise OutOfDomain(f"|x| <= 1 required, got {x}")
-        if x == 1:
-            return mpmath.mpf(n + 1)
-        if x == -1:
-            return mpmath.mpf((-1) ** n * (n + 1))
-        theta = mpmath.acos(x)
-        return +(mpmath.sin((n + 1) * theta) / mpmath.sin(theta))
 
 
 def laguerre_L1(n_minus_1: int, x, prec: PrecisionConfig | None = None) -> mpmath.mpf:

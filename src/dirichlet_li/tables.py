@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .characters import DirichletCharacter, enumerate_characters
+from .characters import DirichletCharacter, character_by_label
 
 
 @dataclass(frozen=True)
@@ -40,10 +40,7 @@ class TableSpec:
     rows: dict[int, tuple[float, float]]
 
     def character(self) -> DirichletCharacter:
-        for chi in enumerate_characters(self.modulus):
-            if chi.label == self.label:
-                return chi
-        raise LookupError(f"no character {self.modulus}.{self.label}")
+        return character_by_label(self.modulus, self.label)
 
     def zero_sum_column(self) -> dict[int, float]:
         return {n: zs for n, (_, zs) in self.rows.items()}

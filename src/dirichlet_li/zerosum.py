@@ -5,24 +5,28 @@ Chebyshev sum over ordinates: with x_k = (4 gamma_k^2 - 1)/(4 gamma_k^2 + 1),
     lambda_chi(n, N) = 2 sum_{k<=N} alpha_k (1 - T_n(x_k)),
 
 every term nonnegative, so the partial sums increase to lambda_chi(n) under
-RH.  T_n(x_k) is evaluated as cos(2 n arctan(1/(2 gamma_k))), which stays
-accurate for x_k exponentially close to 1 where the recurrence and even
-arccos lose ground.  The factor 2 presumes a conjugate-symmetric zero set
-(real chi, positive ordinates listed once); lists flagged symmetric=false
-(e.g. merged chi / conj(chi) spectra for a complex character) are summed
-without it.
+RH.  With theta_k = arctan(1/(2 gamma_k)) one has x_k = cos(2 theta_k), so
+
+    1 - T_n(x_k) = 1 - cos(2 n theta_k) = 2 sin^2(n theta_k).
+
+One float64 kernel evaluates that form: each term is then accurate to a few
+ulp relative, even for x_k exponentially close to 1 where the recurrence,
+arccos and the 1 - cos difference lose ground, and `math.fsum` rounds the
+nonnegative terms' sum correctly.  The factor 2 presumes a
+conjugate-symmetric zero set (real chi, positive ordinates listed once);
+lists flagged symmetric=false (e.g. merged chi / conj(chi) spectra for a
+complex character) are summed without it.
 
 Also here: the closed-form tail bound with its Lambert-W height chooser, the
-step-function integral form (piecewise-exact, plus an adaptive-Simpson
-cross-check), the partial-RH positivity report, and the two-term asymptotic
-model (1/2) n log n + c_chi n.
+step-function integral form (piecewise-exact from the same kernel, plus an
+adaptive-Simpson cross-check), the partial-RH positivity report, and the
+two-term asymptotic model (1/2) n log n + c_chi n.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import mpmath
 import numpy as np
@@ -30,7 +34,6 @@ import numpy as np
 from .characters import DirichletCharacter
 from .errors import EmptyZeroList, NExceedsList, WDomainError
 from .lfunc import ZeroList
-from .precision import ZERO_SUM_BITS, PrecisionConfig
 from .results import LiResult
 from .specfun import lambert_w_m1
 
@@ -51,16 +54,22 @@ class PartialSumParams:
             raise ValueError("T must be positive")
 
 
-@lru_cache(maxsize=8)
-def _half_angles(zeros: ZeroList, bits: int):
-    """arctan(1/(2 gamma_k)) for every record, at the requested precision."""
-    with mpmath.workprec(bits):
-        return tuple(mpmath.atan(1 / (2 * mpmath.mpf(r.gamma)))
-                     for r in zeros.records)
+def _kernel(n, zeros: ZeroList, N: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(w, u) over the first N records (all when N is None): weights
+    w_k = factor alpha_k and u_k = 2 sin^2(n theta_k) = 1 - T_n(x_k), with
+    one row of u per n when n is an array.  The zero-sum terms are w * u."""
+    if len(zeros) == 0:
+        raise EmptyZeroList("zero-sum formula needs at least one zero")
+    N = len(zeros) if N is None else N
+    if N > len(zeros):
+        raise NExceedsList(f"requested N={N} but the list holds {len(zeros)}")
+    factor = 2.0 if zeros.symmetric else 1.0
+    theta = np.arctan(1.0 / (2.0 * zeros.gammas()[:N]))
+    return factor * zeros.alphas()[:N], 2.0 * np.sin(np.multiply.outer(n, theta)) ** 2
 
 
-def li_zero_sum(n: int, zeros: ZeroList, params: PartialSumParams | None = None,
-                prec: PrecisionConfig | None = None) -> LiResult:
+def li_zero_sum(n: int, zeros: ZeroList,
+                params: PartialSumParams | None = None) -> LiResult:
     """lambda_chi(n, N) from the first N records of a zero list (RH assumed).
 
     The truncation height is min(gamma_N, zeros.height): the bound must
@@ -68,22 +77,11 @@ def li_zero_sum(n: int, zeros: ZeroList, params: PartialSumParams | None = None,
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if len(zeros) == 0:
-        raise EmptyZeroList("zero-sum formula needs at least one zero")
-    N = params.N if params is not None else len(zeros)
-    if N > len(zeros):
-        raise NExceedsList(f"requested N={N} but the list holds {len(zeros)}")
-    bits = prec.working_bits if prec is not None else ZERO_SUM_BITS
-    factor = 2 if zeros.symmetric else 1
-    with mpmath.workprec(bits + 10):
-        angles = _half_angles(zeros, bits + 10)
-        total = mpmath.mpf(0)
-        for k in range(N):
-            total += zeros.records[k].alpha * (1 - mpmath.cos(2 * n * angles[k]))
-        value = factor * total
+    w, u = _kernel(n, zeros, params.N if params is not None else None)
+    N = len(u)
     T = min(zeros.records[N - 1].gamma, zeros.height)
     q = zeros.chi_id[0]
-    return LiResult(n=n, value=float(value), method="zero_sum",
+    return LiResult(n=n, value=math.fsum(w * u), method="zero_sum",
                     error_bound=tail_bound(n, T, q),
                     params=PartialSumParams(N=N, T=T,
                                             k_exp=params.k_exp if params else None),
@@ -91,33 +89,15 @@ def li_zero_sum(n: int, zeros: ZeroList, params: PartialSumParams | None = None,
 
 
 def zero_sum_values(zeros: ZeroList, ns, N: int | None = None) -> np.ndarray:
-    """lambda_chi(n, N) for a whole n-array at once, in float64.
-
-    Rounding is ~1e-12 over 10^4 terms, far below the truncation tail; this
-    is the path for table sweeps and asymptotic scans.
-    """
-    if len(zeros) == 0:
-        raise EmptyZeroList("zero-sum formula needs at least one zero")
-    N = len(zeros) if N is None else N
-    if N > len(zeros):
-        raise NExceedsList(f"requested N={N} but the list holds {len(zeros)}")
-    g = zeros.gammas()[:N]
-    alpha = zeros.alphas()[:N].astype(np.float64)
-    phi = 2.0 * np.arctan(1.0 / (2.0 * g))
-    ns = np.asarray(ns, dtype=np.float64)
-    factor = 2.0 if zeros.symmetric else 1.0
-    return factor * ((1.0 - np.cos(np.outer(ns, phi))) @ alpha)
+    """lambda_chi(n, N) for each n of a sequence, as li_zero_sum computes it."""
+    w, u = _kernel(np.asarray(ns), zeros, N)
+    return np.array([math.fsum(w * row) for row in u])
 
 
 def zero_sum_prefix(n: int, zeros: ZeroList) -> np.ndarray:
-    """Partial sums lambda_chi(n, N') for N' = 1..len(zeros), in float64."""
-    if len(zeros) == 0:
-        raise EmptyZeroList("zero-sum formula needs at least one zero")
-    g = zeros.gammas()
-    alpha = zeros.alphas().astype(np.float64)
-    phi = 2.0 * np.arctan(1.0 / (2.0 * g))
-    factor = 2.0 if zeros.symmetric else 1.0
-    return factor * np.cumsum(alpha * (1.0 - np.cos(n * phi)))
+    """Partial sums lambda_chi(n, N') for N' = 1..len(zeros), nondecreasing."""
+    w, u = _kernel(n, zeros)
+    return np.cumsum(w * u)
 
 
 def _tail_closed_form(n: int, T: float, q: int) -> float:
@@ -176,45 +156,32 @@ def choose_T0(n: int, k_exp: int, q: int | None = None) -> float:
     return T0
 
 
-def li_integral(n: int, zeros: ZeroList, quadrature_check: bool = False,
-                prec: PrecisionConfig | None = None) -> LiResult:
+def li_integral(n: int, zeros: ZeroList, quadrature_check: bool = False) -> LiResult:
     """lambda_chi(n) as 32n Int_0^inf g (4g^2+1)^(-2) N_chi(g) U_{n-1}(x(g)) dg
     with the step zero-counting function, evaluated exactly piecewise.
 
     On each interval where N_chi is the constant c, the substitution
     x = (4g^2-1)/(4g^2+1) and Int U_{n-1} dx = T_n/n reduce the piece to
-    2c [T_n(x_right) - T_n(x_left)]; the total telescopes to the Chebyshev
-    zero sum.  With quadrature_check=True each smooth piece is also
-    integrated by adaptive Simpson (tolerance 1e-8) and the two results are
-    compared.
+    2c [T_n(x_right) - T_n(x_left)] = 2c (u_left - u_right) in the kernel's
+    u = 1 - T_n; the step function starts at the first zero and the last
+    piece runs to x -> 1 where u -> 0.  The total telescopes (Abel
+    summation) to the Chebyshev zero sum.  With quadrature_check=True each
+    smooth piece is also integrated by adaptive Simpson (tolerance 1e-8) and
+    compared with the pieces over [gamma_1, gamma_N].
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if len(zeros) == 0:
-        raise EmptyZeroList("integral formula needs at least one zero")
-    bits = prec.working_bits if prec is not None else ZERO_SUM_BITS
-    factor = 2 if zeros.symmetric else 1
-    with mpmath.workprec(bits + 10):
-        angles = _half_angles(zeros, bits + 10)
-        # T_n(x_k) = cos(2 n arctan(1/(2 gamma_k))); the step function starts
-        # at the first zero and the last piece runs to x -> 1 where T_n -> 1
-        tvals = [mpmath.cos(2 * n * a) for a in angles]
-        total = mpmath.mpf(0)
-        count = 0
-        for k in range(len(zeros)):
-            count += zeros.records[k].alpha
-            t_right = tvals[k + 1] if k + 1 < len(zeros) else mpmath.mpf(1)
-            total += count * (t_right - tvals[k])
-        value = factor * total
+    w, u = _kernel(n, zeros)
+    pieces = np.cumsum(w) * (u - np.append(u[1:], 0.0))
     if quadrature_check:
         approx = _integral_quadrature(n, zeros)
-        exact_over_range = _integral_piecewise_range(n, zeros)
+        exact_over_range = math.fsum(pieces[:-1])
         if abs(approx - exact_over_range) > 1e-6:
             raise ArithmeticError(
                 f"quadrature check failed: piecewise {exact_over_range} vs "
                 f"Simpson {approx}")
     T = min(zeros.records[-1].gamma, zeros.height)
-    return LiResult(n=n, value=float(value), method="integral",
+    return LiResult(n=n, value=math.fsum(pieces), method="integral",
                     error_bound=tail_bound(n, T, zeros.chi_id[0]),
                     params=PartialSumParams(N=len(zeros), T=T),
                     chi_id=zeros.chi_id, conditional=True)
@@ -259,22 +226,6 @@ def _integral_quadrature(n: int, zeros: ZeroList) -> float:
         count += int(alpha[k])
         total += _adaptive_simpson(
             lambda x, c=count: _integrand(n, x, c, factor), g[k], g[k + 1])
-    return total
-
-
-def _integral_piecewise_range(n: int, zeros: ZeroList) -> float:
-    """The exact piecewise value restricted to [gamma_1, gamma_N] (what the
-    quadrature covers: no final piece to infinity)."""
-    g = zeros.gammas()
-    alpha = zeros.alphas()
-    factor = 2 if zeros.symmetric else 1
-    phi = 2.0 * np.arctan(1.0 / (2.0 * g))
-    tvals = np.cos(n * phi)
-    total = 0.0
-    count = 0
-    for k in range(len(g) - 1):
-        count += int(alpha[k])
-        total += factor * count * (tvals[k + 1] - tvals[k])
     return total
 
 

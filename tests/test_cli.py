@@ -151,6 +151,13 @@ def test_li_missing_zero_file(capsys, tmp_path):
     assert "error" in err.lower()
 
 
+def test_li_label_out_of_range(capsys):
+    code, _, err = run(capsys, "li", "--q", "5", "--label", "7", "--n", "1",
+                       "--method", "arith")
+    assert code == 2
+    assert "error:" in err
+
+
 # ----------------------------------------------------------------------------
 # compare command
 
@@ -164,6 +171,13 @@ def test_compare_smoke(q3_zero_file, capsys):
     assert code in (0, 1)  # per-n verdicts decide; both surfaces are exercised
     if code == 1:
         assert any("note:" in l for l in lines)
+
+
+def test_compare_needs_positive_n(q3_zero_file, capsys):
+    code, _, err = run(capsys, "compare", "--q", "3", "--n", "0",
+                       "--zeros", q3_zero_file)
+    assert code == 2
+    assert "error:" in err
 
 
 # ----------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from dirichlet_li.characters import (character_by_label, enumerate_characters,
                                      gauss_sum, real_primitive_character)
 from dirichlet_li.errors import (ComplexCharacterUnsupported, ModulusMismatch,
-                                 ParseError, PrincipalCharacter)
+                                 NotPrimitive, ParseError, PrincipalCharacter)
 from dirichlet_li.lfunc import (ZeroList, ZeroRecord, completeness_tolerance,
                                 find_zeros, find_zeros_merged,
                                 find_zeros_upper, hardy_z, height_for_count,
@@ -162,6 +162,15 @@ def test_find_zeros_rejects_complex_and_principal():
         find_zeros(character_by_label(5, 1), 30)
     with pytest.raises(PrincipalCharacter):
         find_zeros(enumerate_characters(5)[0], 30)
+
+
+def test_find_zeros_rejects_imprimitive():
+    # 12.1 is real with conductor 3; a scan mod 12 returns spurious
+    # ordinates beside the zeros of its primitive character 3.1
+    chi = character_by_label(12, 1)
+    assert chi.is_real and not chi.is_primitive
+    with pytest.raises(NotPrimitive):
+        find_zeros(chi, 30)
 
 
 def test_find_zeros_upper_matches_find_zeros_for_real():

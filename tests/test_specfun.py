@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 
 from dirichlet_li.errors import OutOfDomain, PoleAtOne
 from dirichlet_li.precision import PrecisionConfig
-from dirichlet_li.specfun import (bernoulli, big_binomial, chebyshev_T,
-                                  chebyshev_U, hurwitz_zeta,
+from dirichlet_li.specfun import (bernoulli, chebyshev_T, hurwitz_zeta,
                                   hurwitz_zeta_minus_pole, lambert_w_m1,
-                                  laguerre_L1, log_gamma, polygamma_closed,
-                                  zeta_int)
+                                  laguerre_L1, log_gamma, zeta_int)
 
 PREC = PrecisionConfig(working_bits=128)
 TOL = mpmath.mpf(2) ** (-128 + 12)
@@ -67,7 +65,7 @@ def test_hurwitz_minus_pole_is_minus_digamma():
 
 
 # ----------------------------------------------------------------------------
-# integer zeta and polygamma closed forms
+# integer zeta
 
 def test_zeta_int_values():
     with mpmath.workprec(140):
@@ -79,18 +77,6 @@ def test_zeta_int_values():
         direct = mpmath.fsum(mpmath.mpf(k) ** -3 for k in range(1, 4000))
         direct += mpmath.mpf(1) / (2 * 3999 ** 2) + mpmath.mpf("0.5") * 3999 ** -3
         assert abs(zeta_int(3, PREC) - direct) < 1e-9
-
-
-def test_polygamma_closed_values():
-    with mpmath.workprec(140):
-        assert abs(polygamma_closed(1, False, PREC) + mpmath.euler) < TOL
-        ref_half = -mpmath.euler - 2 * mpmath.log(2)
-        assert abs(polygamma_closed(1, True, PREC) - ref_half) < TOL
-        # psi'(1) = zeta(2); psi'(1/2) = 3 zeta(2) = pi^2/2
-        assert abs(polygamma_closed(2, False, PREC) - zeta_int(2, PREC)) < TOL
-        assert abs(polygamma_closed(2, True, PREC) - mpmath.pi ** 2 / 2) < TOL
-        # psi''(1) = -2 zeta(3)
-        assert abs(polygamma_closed(3, False, PREC) + 2 * zeta_int(3, PREC)) < TOL
 
 
 # ----------------------------------------------------------------------------
@@ -112,13 +98,6 @@ def test_bernoulli_von_staudt_clausen():
             if all(p % d for d in range(2, p)) and n % (p - 1) == 0:
                 s += Fraction(1, p)
         assert s.denominator == 1
-
-
-def test_big_binomial():
-    assert big_binomial(40, 20) == 137846528820
-    assert big_binomial(5, 0) == 1
-    with pytest.raises(ValueError):
-        big_binomial(3, 5)
 
 
 # ----------------------------------------------------------------------------
@@ -188,14 +167,6 @@ def test_chebyshev_T_values():
 def test_chebyshev_T_domain():
     with pytest.raises(OutOfDomain):
         chebyshev_T(3, 1.5, PREC)
-
-
-def test_chebyshev_U_values():
-    with mpmath.workprec(150):
-        assert abs(chebyshev_U(2, 0.5, PREC)) < 1e-30       # U_2(1/2) = 0
-        assert chebyshev_U(5, 1, PREC) == 6                  # U_n(1) = n+1
-        assert chebyshev_U(4, -1, PREC) == 5
-        assert abs(chebyshev_U(1, 0.25, PREC) - 0.5) < 1e-30
 
 
 # ----------------------------------------------------------------------------

@@ -67,6 +67,17 @@ def test_zero_sum_values_matches_big_float(zeros_q3):
         assert v == pytest.approx(ref, abs=1e-9)
 
 
+def test_zero_sum_matches_128_bit_oracle(zeros_q3):
+    # the float64 kernel against the Chebyshev sum 2 sum (1 - cos(2 n theta_k))
+    # evaluated term by term at 128 bits
+    for n in (1, 2, 10, 36):
+        with mpmath.workprec(128):
+            ref = 2 * mpmath.fsum(
+                r.alpha * (1 - mpmath.cos(2 * n * mpmath.atan(1 / (2 * mpmath.mpf(r.gamma)))))
+                for r in zeros_q3.records)
+        assert li_zero_sum(n, zeros_q3).value == pytest.approx(float(ref), rel=1e-13)
+
+
 def test_partial_params_truncate(zeros_q3):
     res = li_zero_sum(2, zeros_q3, PartialSumParams(N=100, T=zeros_q3.height))
     assert res.params.N == 100
