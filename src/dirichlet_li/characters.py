@@ -19,7 +19,8 @@ from functools import lru_cache
 
 import mpmath
 
-from .errors import LabelOutOfRange, NoRealPrimitiveCharacter, NotPrimitive
+from .errors import (InvalidModulus, LabelOutOfRange, NoRealPrimitiveCharacter,
+                     NotPrimitive)
 from .precision import PrecisionConfig, default_precision
 
 
@@ -276,7 +277,7 @@ def enumerate_characters(q: int) -> list[DirichletCharacter]:
     CRT generators, which also defines the label.
     """
     if q < 1:
-        raise ValueError("modulus must be a positive integer")
+        raise InvalidModulus("modulus must be a positive integer")
     gen_orders, dlog = _group_structure(q)
     chars = []
     label = 0

@@ -14,6 +14,10 @@ class LabelOutOfRange(DirichletLiError, ValueError):
     """No character with the requested label exists for the modulus."""
 
 
+class InvalidModulus(DirichletLiError, ValueError):
+    """The modulus is not a positive integer."""
+
+
 class NotPrimitive(DirichletLiError):
     """Operation requires a primitive character."""
 

@@ -1,13 +1,17 @@
 """Vectorized double-precision engine for critical-line zero scanning.
 
-Evaluates L(1/2 + it, chi) for real characters by Euler-Maclaurin summation
-over residue classes (flattened to a single Dirichlet sum plus per-class
-Bernoulli tails), forms the phase-rotated real function whose sign changes
-are the critical-line zeros, and locates all zeros up to a target height.
+Evaluates L(1/2 + it, chi) for non-principal characters by Euler-Maclaurin
+summation over residue classes (flattened to a single Dirichlet sum plus
+per-class Bernoulli tails), forms the phase-rotated real function whose sign
+changes are the critical-line zeros, and locates all zeros up to a target
+height.
 
-float64 is ample here: the Euler-Maclaurin truncation and rounding noise sit
-near 1e-13 while the bisection target is 1e-11, and the high-precision path
-in `lfunc` certifies sampled zeros independently.
+Each zero is refined by safeguarded Newton on Z, with Z' taken analytically
+from the same Dirichlet sum, inside the sign-change bracket the grid found;
+the returned ordinate is the midpoint of a verified sign-change bracket no
+wider than 1e-11.  float64 is ample here: the Euler-Maclaurin truncation and
+rounding noise sit near 1e-13, and the high-precision path in `lfunc`
+certifies sampled zeros independently.
 """
 
 from __future__ import annotations
@@ -20,6 +24,10 @@ from scipy.special import loggamma as _loggamma
 
 from .errors import CompletenessCheckFailed, PrincipalCharacter
 from .specfun import bernoulli
+
+# Bumped whenever a change to the finder can move the ordinates it returns;
+# caches of computed zero lists are keyed on it.
+FINDER_VERSION = 2
 
 _R_MAX = 40
 _B_COEFF = None  # B_{2r}/(2r)! as float64, r = 1.._R_MAX
@@ -69,55 +77,51 @@ class FastLEvaluator:
         return max(32, int(abs(t_max) / 4) + 8)
 
     def _flat_coeffs(self, N: int):
-        """(m, chi(m), log m) for the flattened leading sum of length phi(q)*N."""
+        """(log m, chi(m) m^(-1/2)) over the flattened leading sum of length
+        phi(q)*N."""
         q = self.q
         m = (self.residues[None, :] + q * np.arange(N)[:, None]).ravel()
         w = np.broadcast_to(self.res_values, (N, self.residues.size)).ravel()
-        return m.astype(np.float64), w.astype(np.complex128), np.log(m.astype(np.float64))
+        m = m.astype(np.float64)
+        return np.log(m), w * m ** -0.5
 
-    def _tail_sum(self, t: np.ndarray, N: int) -> np.ndarray:
-        """q^(-s) * sum_a chi(a) * EM tail at (N + a/q), vectorized over t."""
-        q = self.q
+    def _tail_sum(self, t: np.ndarray, N: int):
+        """q^(-s) sum_a chi(a) EM tail of zeta(s, x_a), x_a = N + a/q, and its
+        derivative in t, vectorized over t.
+
+        The tail of each class is x^(-s) [x/(s-1) + 1/2 + sum_r P_r(s)
+        (N/x)^(2r+1)] with P_r(s) = B_2r/(2r)! (s)_(2r+1) N^(-2r-1) the same
+        for every class, so the sum over classes is one matrix product of
+        chi(a) x_a^(-s) with powers of N/x_a; scaling by N keeps the
+        Pochhammer factors from overflowing.  d/ds log P_r(s) is the sum of
+        1/(s+j) over its Pochhammer factors.
+        """
         s = 0.5 + 1j * t
-        out = np.zeros(t.shape, dtype=np.complex128)
+        x = N + self.residues / self.q
+        lx = np.log(x)
         b = _bernoulli_coeffs()
-        for idx, a in enumerate(self.residues):
-            w = self.res_values[idx]
-            na = N + a / q
-            lna = math.log(na)
-            na_ms = np.exp(-s * lna)
-            tail = na_ms * na / (s - 1) + na_ms / 2
-            # Bernoulli terms, iterated to avoid overflow in Pochhammer factors
-            term = b[0] * s * na_ms / na
-            tail = tail + term
-            inv_na2 = 1.0 / (na * na)
-            for r in range(1, _R_MAX):
-                term = term * (b[r] / b[r - 1]) * (s + 2 * r - 1) * (s + 2 * r) * inv_na2
-                tail = tail + term
-                if np.max(np.abs(term)) < 1e-18:
-                    break
-            out += w * tail
-        return out * np.exp(-s * math.log(q))
+        pr = [b[0] * s / N]
+        sig = [1 / s]
+        for r in range(1, _R_MAX):
+            if np.max(np.abs(pr[-1])) < 1e-18 * math.sqrt(N):
+                break
+            f = (s + 2 * r - 1) * (s + 2 * r)
+            pr.append(pr[-1] * f * (b[r] / (b[r - 1] * N * N)))
+            # 1/(s+2r-1) + 1/(s+2r)
+            sig.append(sig[-1] + (2 * s + (4 * r - 1)) / f)
+        pr, sig = np.stack(pr, axis=1), np.stack(sig, axis=1)
+        v = (N / x)[:, None] ** (2 * np.arange(pr.shape[1]) + 1)
+        e = self.res_values * np.exp(-np.outer(s, lx))  # chi(a) x_a^(-s)
+        ex, e1, exl, el = (e @ np.stack([x, np.ones_like(x), x * lx, lx], axis=1)).T
+        g, gl = np.hsplit(e @ np.hstack([v, v * lx[:, None]]), 2)
+        tail = ex / (s - 1) + e1 / 2 + np.sum(pr * g, axis=1)
+        dtail = (-exl / (s - 1) - ex / (s - 1) ** 2 - el / 2
+                 + np.sum(pr * (sig * g - gl), axis=1))
+        q_ms = np.exp(-s * math.log(self.q))
+        # d/dt = i d/ds
+        return tail * q_ms, 1j * q_ms * (dtail - math.log(self.q) * tail)
 
     # -- evaluation ------------------------------------------------------------
-
-    def l_values(self, t: np.ndarray) -> np.ndarray:
-        """L(1/2 + it, chi) for an arbitrary array of heights t >= 0."""
-        t = np.asarray(t, dtype=np.float64)
-        out = np.empty(t.shape, dtype=np.complex128)
-        order = np.argsort(t)
-        chunk = 512
-        for start in range(0, t.size, chunk):
-            idx = order[start:start + chunk]
-            tc = t[idx]
-            N = self._em_n(float(np.max(np.abs(tc), initial=0.0)))
-            m, w, logm = self._flat_coeffs(N)
-            amp = w * m ** -0.5
-            # sum_m chi(m) m^(-1/2) e^(-i t log m)
-            phases = np.exp(-1j * np.outer(tc, logm))
-            flat = phases @ amp
-            out[idx] = flat + self._tail_sum(tc, N)
-        return out
 
     def theta(self, t: np.ndarray) -> np.ndarray:
         """Phase such that e^(i theta(t)) L(1/2+it) is real (same zeros as the
@@ -127,10 +131,44 @@ class FastLEvaluator:
         return (0.5 * t * math.log(self.q / math.pi)
                 + np.imag(_loggamma(z)) - 0.5 * self.omega_angle)
 
+    def z_and_derivative(self, t: np.ndarray):
+        """Z(t) and Z'(t) for an arbitrary array of heights.
+
+        Both come from one phase matrix: the real cos and sin of t log m times
+        one real (M, 4) matrix holding chi(m) m^(-1/2) and its t-derivative
+        factor -i log m chi(m) m^(-1/2), which gives L and L' together.
+        Z' = Re[e^(i theta) (i theta' L + L')] = Re[e^(i theta) L'], because
+        i theta' e^(i theta) L = i theta' Z is imaginary.
+        """
+        t = np.asarray(t, dtype=np.float64)
+        z = np.empty(t.shape)
+        dz = np.empty(t.shape)
+        order = np.argsort(t)
+        chunk = 512
+        for start in range(0, t.size, chunk):
+            idx = order[start:start + chunk]
+            tc = t[idx]
+            N = self._em_n(float(np.max(np.abs(tc), initial=0.0)))
+            logm, amp = self._flat_coeffs(N)
+            damp = -1j * logm * amp
+            coef = np.stack([amp.real, amp.imag, damp.real, damp.imag], axis=1)
+            # sum_m c_m e^(-i t log m) = (cos @ c) - i (sin @ c), split into
+            # real and imaginary parts of c
+            ph = np.outer(tc, logm)
+            pc = np.cos(ph) @ coef
+            ps = np.sin(ph, out=ph) @ coef
+            L = pc[:, 0] + ps[:, 1] + 1j * (pc[:, 1] - ps[:, 0])
+            dL = pc[:, 2] + ps[:, 3] + 1j * (pc[:, 3] - ps[:, 2])
+            tail, dtail = self._tail_sum(tc, N)
+            L += tail
+            dL += dtail
+            rot = np.exp(1j * self.theta(tc))
+            z[idx] = np.real(rot * L)
+            dz[idx] = np.real(rot * dL)
+        return z, dz
+
     def z_values(self, t: np.ndarray) -> np.ndarray:
-        L = self.l_values(t)
-        th = self.theta(t)
-        return np.real(L) * np.cos(th) - np.imag(L) * np.sin(th)
+        return self.z_and_derivative(t)[0]
 
     def z_grid(self, t0: float, h: float, count: int) -> np.ndarray:
         """Z on the equally spaced grid t0 + j*h, j = 0..count-1, using the
@@ -143,15 +181,15 @@ class FastLEvaluator:
             nb = min(block, count - j0)
             tb = t0 + (j0 + np.arange(nb)) * h
             N = self._em_n(float(np.max(np.abs(tb))))
-            m, w, logm = self._flat_coeffs(N)
-            c = (w * m ** -0.5) * np.exp(-1j * tb[0] * logm)
+            logm, amp = self._flat_coeffs(N)
+            c = amp * np.exp(-1j * tb[0] * logm)
             mult = np.exp(-1j * h * logm)
             flat = np.empty(nb, dtype=np.complex128)
             for j in range(nb):
                 flat[j] = c.sum()
                 if j + 1 < nb:
                     c *= mult
-            L = flat + self._tail_sum(tb, N)
+            L = flat + self._tail_sum(tb, N)[0]
             th = self.theta(tb)
             out[j0:j0 + nb] = np.real(L) * np.cos(th) - np.imag(L) * np.sin(th)
             j0 += nb
@@ -162,62 +200,72 @@ class FastLEvaluator:
 # zero location
 
 def _brackets_from_grid(t, z):
+    """Sign-change cells along the last axis of t and z, as arrays
+    (left end, right end, Z there, Z there)."""
     sign = np.sign(z)
-    flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    return [(t[i], t[i + 1], z[i], z[i + 1]) for i in flips]
+    flips = np.nonzero(sign[..., :-1] * sign[..., 1:] < 0)
+    right = flips[:-1] + (flips[-1] + 1,)
+    return t[flips], t[right], z[flips], z[right]
 
 
 def _rescue_minima(ev, t, z, depth: int = 32):
     """Subdivide grid cells holding a local minimum of |Z| with no sign change;
-    catches close zero pairs hiding inside one cell."""
+    catches close zero pairs hiding inside one cell.  All candidates'
+    sub-grids are evaluated in one call."""
     absz = np.abs(z)
     scale = np.median(absz) if absz.size else 0.0
-    extra = []
     sign = np.sign(z)
-    for i in range(1, len(t) - 1):
-        if absz[i] < absz[i - 1] and absz[i] <= absz[i + 1] \
-                and absz[i] < 0.25 * scale \
-                and sign[i - 1] == sign[i] == sign[i + 1]:
-            tt = np.linspace(t[i - 1], t[i + 1], depth + 1)
-            zz = ev.z_values(tt)
-            extra.extend(_brackets_from_grid(tt, zz))
-    return extra
+    mid = slice(1, -1)
+    cand = 1 + np.nonzero(
+        (absz[mid] < absz[:-2]) & (absz[mid] <= absz[2:])
+        & (absz[mid] < 0.25 * scale)
+        & (sign[:-2] == sign[mid]) & (sign[mid] == sign[2:]))[0]
+    tt = np.linspace(t[cand - 1], t[cand + 1], depth + 1, axis=-1)
+    zz = ev.z_values(tt.ravel()).reshape(tt.shape)
+    return _brackets_from_grid(tt, zz)
 
 
-def _illinois(ev, brackets, tol: float = 1e-11, itmax: int = 80):
-    """Lockstep Illinois (modified regula falsi) over all brackets at once."""
-    if not brackets:
-        return np.empty(0)
-    a = np.array([b[0] for b in brackets])
-    b = np.array([br[1] for br in brackets])
-    fa = np.array([br[2] for br in brackets])
-    fb = np.array([br[3] for br in brackets])
-    side = np.zeros(a.size, dtype=np.int8)
+def _newton(ev, brackets, tol: float = 1e-11, itmax: int = 80):
+    """Lockstep safeguarded Newton over all brackets at once.
+
+    Every evaluation keeps the sign-change bracket [a, b]; a Newton step that
+    leaves it falls back to the midpoint.  The first point of each bracket is
+    its secant point.  A bracket is closed once it is no wider than tol, or
+    than two float64 spacings where those exceed tol (above t = 2^15).  When
+    the Newton point would close it, the next point is taken a little past
+    the Newton point (tol/4, or one spacing), so that it lands beyond the root
+    and closes the bracket in one evaluation.  Returns the bracket midpoints.
+    """
+    a, b, fa, fb = (np.array(x, dtype=np.float64) for x in brackets)
+    # Z and Z' at the last point evaluated in each bracket (an endpoint)
+    x = np.full(a.size, np.nan)
+    fx = np.zeros(a.size)
+    dfx = np.zeros(a.size)
     for _ in range(itmax):
-        active = np.nonzero(b - a > tol)[0]
+        width = np.maximum(tol, 2 * np.spacing(np.abs(a)))
+        active = np.nonzero(b - a > width)[0]
         if active.size == 0:
             break
-        aa, bb = a[active], b[active]
-        faa, fbb = fa[active], fb[active]
-        denom = fbb - faa
-        m = np.where(denom != 0, bb - fbb * (bb - aa) / np.where(denom != 0, denom, 1.0),
-                     0.5 * (aa + bb))
+        aa, bb, xx = a[active], b[active], x[active]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = -fx[active] / dfx[active]
+            fresh = np.isnan(xx)
+            secant = bb - fb[active] * (bb - aa) / (fb[active] - fa[active])
         gap = bb - aa
-        m = np.clip(m, aa + 0.01 * gap, bb - 0.01 * gap)
-        fm = ev.z_values(m)
-        left = fa[active] * fm < 0  # root in [a, m]
-        # update brackets
-        for_update = active
-        b_new = np.where(left, m, b[for_update])
-        fb_new = np.where(left, fm, fb[for_update])
-        a_new = np.where(left, a[for_update], m)
-        fa_new = np.where(left, fa[for_update], fm)
-        # Illinois halving of the endpoint retained twice in a row
-        fa_new = np.where(left & (side[for_update] == -1), fa_new * 0.5, fa_new)
-        fb_new = np.where(~left & (side[for_update] == 1), fb_new * 0.5, fb_new)
-        a[for_update], b[for_update] = a_new, b_new
-        fa[for_update], fb[for_update] = fa_new, fb_new
-        side[for_update] = np.where(left, -1, 1)
+        past = np.maximum(0.25 * tol, np.spacing(np.abs(xx)))
+        p = np.where(fresh, np.clip(secant, aa + 0.01 * gap, bb - 0.01 * gap),
+                     np.where(np.abs(step) + past <= width[active],
+                              xx + step + np.copysign(past, step), xx + step))
+        p = np.where((p > aa) & (p < bb), p, 0.5 * (aa + bb))
+        fp, dfp = ev.z_and_derivative(p)
+        left = fa[active] * fp < 0  # root in [a, p]
+        a[active] = np.where(left, aa, p)
+        fa[active] = np.where(left, fa[active], fp)
+        b[active] = np.where(left, p, bb)
+        fb[active] = np.where(left, fp, fb[active])
+        hit = fp == 0
+        a[active[hit]] = b[active[hit]] = p[hit]
+        x[active], fx[active], dfx[active] = p, fp, dfp
     return 0.5 * (a + b)
 
 
@@ -234,12 +282,10 @@ def scan_zeros(chi, t_max: float, refine_factor: int = 1, side: int = 1):
     count = int(math.ceil(t_max / h)) + 1
     t0 = 0.0 if side >= 0 else -((count - 1) * h)
     t = t0 + np.arange(count) * h
-    z = ev.z_grid(t0, h, count - 1)
-    z = np.append(z, ev.z_values(t[-1:]))
-    brackets = _brackets_from_grid(t, z)
-    brackets += _rescue_minima(ev, t, z)
-    brackets.sort(key=lambda br: br[0])
-    gammas = _illinois(ev, brackets)
+    z = ev.z_grid(t0, h, count)
+    brackets = [np.concatenate(parts) for parts in
+                zip(_brackets_from_grid(t, z), _rescue_minima(ev, t, z))]
+    gammas = _newton(ev, brackets)
     if side < 0:
         gammas = -gammas
     gammas = np.sort(gammas)

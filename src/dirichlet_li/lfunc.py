@@ -173,7 +173,8 @@ def find_zeros(chi: DirichletCharacter, T_max: float) -> ZeroList:
 def find_zeros_upper(chi: DirichletCharacter, T_max: float) -> ZeroList:
     """Zeros with 0 < gamma <= T_max for any primitive non-principal chi,
     real or complex, by grid scanning of the rotated real function and
-    lockstep regula-falsi refinement to ~1e-11; the count is checked against
+    lockstep safeguarded Newton refinement inside each sign-change bracket
+    until the bracket is no wider than 1e-11; the count is checked against
     the smooth counting formula within +-(2 + log T_max) after at most one
     4x grid refinement.
 

@@ -1,5 +1,6 @@
 """Shared fixtures: session-scoped zero lists, cached on disk under
-tests/.cache so the expensive scans run once per checkout."""
+tests/.cache/finder-<FINDER_VERSION> so the expensive scans run once per
+checkout and a list is reused only by the finder version that made it."""
 
 from __future__ import annotations
 
@@ -8,10 +9,11 @@ from pathlib import Path
 import pytest
 
 from dirichlet_li.characters import enumerate_characters, real_primitive_character
+from dirichlet_li.fastzeros import FINDER_VERSION
 from dirichlet_li.lfunc import (find_zeros, find_zeros_upper, height_for_count,
                                 read_zeros, write_zeros)
 
-CACHE_DIR = Path(__file__).parent / ".cache"
+CACHE_DIR = Path(__file__).parent / ".cache" / f"finder-{FINDER_VERSION}"
 
 
 def _character(q: int, label: int):
@@ -31,7 +33,7 @@ def _cached_zero_list(chi, count: int):
     T = height_for_count(chi.modulus, count + 30)
     zl = find_zeros(chi, T) if chi.is_real else find_zeros_upper(chi, T)
     assert len(zl) >= count, (len(zl), count)
-    CACHE_DIR.mkdir(exist_ok=True)
+    CACHE_DIR.mkdir(parents=True, exist_ok=True)
     write_zeros(path, zl)
     return zl
 

@@ -43,6 +43,12 @@ def test_characters_listing(capsys):
     assert lines[3].split() == ["2", "2", "even", "5", "yes", "yes"]
 
 
+def test_characters_rejects_nonpositive_modulus(capsys):
+    code, _, err = run(capsys, "characters", "--q", "0")
+    assert code == 2
+    assert "error:" in err
+
+
 # ----------------------------------------------------------------------------
 # zeros command
 

@@ -1,0 +1,114 @@
+"""The double-precision zero finder: its Z' and the brackets behind each ordinate."""
+
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from dirichlet_li.characters import character_by_label
+from dirichlet_li.fastzeros import (FastLEvaluator, _bernoulli_coeffs,
+                                   _brackets_from_grid, _newton)
+from dirichlet_li.lfunc import find_zeros_upper, height_for_count, read_zeros
+
+REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "data"
+
+
+def tail_sum_by_class(ev, t, N):
+    """The Euler-Maclaurin tail summed class by class, each Bernoulli term
+    from the one before (reference for the one-matrix-product form)."""
+    s = 0.5 + 1j * t
+    b = _bernoulli_coeffs()
+    out = np.zeros(t.shape, dtype=np.complex128)
+    for a, w in zip(ev.residues, ev.res_values):
+        na = N + a / ev.q
+        na_ms = np.exp(-s * math.log(na))
+        term = b[0] * s * na_ms / na
+        tail = na_ms * na / (s - 1) + na_ms / 2 + term
+        for r in range(1, len(b)):
+            term = term * (b[r] / b[r - 1]) * (s + 2 * r - 1) * (s + 2 * r) / (na * na)
+            tail = tail + term
+            if np.max(np.abs(term)) < 1e-18:
+                break
+        out += w * tail
+    return out * np.exp(-s * math.log(ev.q))
+
+
+@pytest.mark.parametrize("q, label", [(3, 1), (5, 1), (60, 14)])
+def test_tail_matches_class_by_class_sum(q, label):
+    ev = FastLEvaluator(character_by_label(q, label))
+    for T in (20.0, 500.0, 8600.0):
+        t = np.linspace(T - 5, T, 64)
+        N = ev._em_n(T)
+        # float64 sums of ~40 terms below 1 in another order
+        np.testing.assert_allclose(ev._tail_sum(t, N)[0],
+                                   tail_sum_by_class(ev, t, N), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("q, label", [(3, 1), (5, 1)])
+def test_z_derivative_matches_central_difference(q, label):
+    ev = FastLEvaluator(character_by_label(q, label))
+    t = np.array([5.3, 14.2, 100.7, 1234.5, 5000.1, -37.2])
+    z, dz = ev.z_and_derivative(t)
+    assert np.array_equal(z, ev.z_values(t))
+    h = 1e-5
+    central = (ev.z_values(t + h) - ev.z_values(t - h)) / (2 * h)
+    assert np.all(np.abs(dz - central) <= 1e-6 * np.abs(dz))
+
+
+@pytest.mark.parametrize("q, label", [(3, 1), (5, 1)])
+def test_ordinates_sit_in_sign_change_brackets(q, label):
+    chi = character_by_label(q, label)
+    gammas = find_zeros_upper(chi, height_for_count(q, 230)).gammas()[:200]
+    assert gammas.size == 200
+    ev = FastLEvaluator(chi)
+    assert np.all(ev.z_values(gammas - 1e-11) * ev.z_values(gammas + 1e-11) < 0)
+
+
+@pytest.mark.parametrize("q, label", [(3, 1), (5, 1), (20, 6), (60, 14)])
+def test_first_zeros_match_stored_lists(q, label):
+    ref = read_zeros(REFERENCE_DIR / f"zeros_{q}_{label}.txt",
+                     chi_id=(q, label)).gammas()[:500]
+    chi = character_by_label(q, label)
+    gammas = find_zeros_upper(chi, height_for_count(q, 530)).gammas()[:500]
+    assert gammas.size == ref.size == 500
+    # one unit of the 12th printed digit of the stored list, plus the
+    # finder's 1e-11 bracket width
+    tol = 10.0 ** (np.floor(np.log10(gammas)) - 11) + 2e-11
+    assert np.all(np.abs(gammas - ref) <= tol)
+
+
+@pytest.mark.parametrize("q, label", [(3, 1), (60, 14)])
+def test_refinement_evaluates_few_points_per_zero(q, label, monkeypatch):
+    points = []
+    evaluate = FastLEvaluator.z_and_derivative
+
+    def counted(self, t):
+        points.append(len(t))
+        return evaluate(self, t)
+
+    monkeypatch.setattr(FastLEvaluator, "z_and_derivative", counted)
+    zeros = find_zeros_upper(character_by_label(q, label), height_for_count(q, 500))
+    # grid brackets are refined by safeguarded Newton: about 4.6 evaluations
+    # per zero, where regula falsi needed about 9.6
+    assert sum(points) <= 5 * len(zeros)
+
+
+def test_refinement_closes_where_float_spacing_exceeds_tol(monkeypatch):
+    # above t = 2^16 adjacent floats are 1.46e-11 apart, wider than the 1e-11
+    # target: brackets close at two spacings instead of running to the
+    # iteration cap
+    ev = FastLEvaluator(character_by_label(3, 1))
+    t = 70000 + np.arange(40) * 0.1
+    brackets = _brackets_from_grid(t, ev.z_values(t))
+    passes = []
+    evaluate = ev.z_and_derivative
+
+    def counted(p):
+        passes.append(len(p))
+        return evaluate(p)
+
+    monkeypatch.setattr(ev, "z_and_derivative", counted)
+    gammas = _newton(ev, brackets)
+    assert gammas.size == 5
+    assert len(passes) <= 8
