@@ -9,7 +9,7 @@ and reproduction of published reference tables.
 """
 
 from .arith import (TruncationParams, choose_M, error_bound_EM, li_arith,
-                    prime_power_kernel_sum, tau_chi)
+                    li_arith_sweep, prime_power_kernel_sum, tau_chi)
 from .characters import (DirichletCharacter, GaussSumValue, character_by_label,
                          enumerate_characters, gauss_sum,
                          real_primitive_character)
@@ -31,8 +31,8 @@ __all__ = [
     "DirichletLiError", "asymptotic_model", "character_by_label", "choose_M",
     "choose_T0", "default_precision", "enumerate_characters", "error_bound_EM",
     "find_zeros", "find_zeros_merged", "find_zeros_upper", "gauss_sum",
-    "hardy_z", "height_for_count", "l_value", "li_arith", "li_integral",
-    "li_zero_sum", "n_formula", "partial_rh_report",
+    "hardy_z", "height_for_count", "l_value", "li_arith", "li_arith_sweep",
+    "li_integral", "li_zero_sum", "n_formula", "partial_rh_report",
     "prime_power_kernel_sum", "read_zeros", "real_primitive_character",
     "tail_bound", "tau_chi", "write_zeros", "xi_value", "zero_sum_prefix",
     "zero_sum_values", "__version__",

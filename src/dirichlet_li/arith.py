@@ -5,8 +5,10 @@ lambda_chi(n) = (n/2)(log(q/pi) - gamma) + tau_chi(n)
 
 truncated at prime powers k <= M with the explicit truncation bound and the
 Lambert-W-derived choice of M.  The Laguerre-kernel form of the k-sum is the
-production path (per-term error polynomial in n); the raw alternating
-binomial double sum needs O(n) extra bits and is kept only as a test oracle.
+production path: `kernel_sums` evaluates it in float64 for all requested n
+in one pass over a segmented sieve to the largest cutoff.  The raw
+alternating binomial double sum needs O(n) extra bits and is kept only as a
+test oracle.
 """
 
 from __future__ import annotations
@@ -20,15 +22,15 @@ import numpy as np
 from .characters import DirichletCharacter
 from .errors import ConductorOne, NotPrimitive
 from .precision import PrecisionConfig, arith_precision
-from .primes import is_prime, prime_powers
+from .primes import is_prime, prime_power_segments, prime_powers
 from .results import LiResult
 from .specfun import laguerre_L1, lambert_w_m1, zeta_int
 
 # Below this bound the |E_M| estimate is not in its stated regime.
 _BOUND_MIN_M = 16
 
-# Kernel sums over this many prime powers switch to the vectorized float64
-# path (truncation error >= 1e-3 dominates the ~1e-10 rounding there).
+# `prime_power_kernel_sum` runs in big floats below this cutoff and takes
+# the float64 sweep from it on; `li_arith` always takes the sweep.
 _FAST_PATH_MIN_M = 100_000
 
 
@@ -78,15 +80,11 @@ def prime_power_kernel_sum(n: int, chi: DirichletCharacter, M: int,
                            prec: PrecisionConfig | None = None) -> mpmath.mpc:
     """-sum over prime powers k = p^m <= M of (log p / k) chi(k) L^1_{n-1}(log k).
 
-    Large M at ordinary accuracy targets runs vectorized in float64 (the
-    Laguerre recurrence is stable and the truncation bound dwarfs rounding);
-    small M or tight targets run in big floats.
+    Cutoffs M >= 1e5 take the float64 sweep `kernel_sums`; smaller ones run
+    in big floats at `prec`, the reference the float64 sweep is tested against.
     """
     if n < 1 or M < 2:
         raise ValueError("need n >= 1 and M >= 2")
-    # Large cutoffs go vectorized in float64: the truncation bound at
-    # M >= 1e5 is at least ~1e-2 sqrt(n), many orders above the ~1e-11
-    # rounding of the vectorized sum, so big floats buy nothing there.
     if M >= _FAST_PATH_MIN_M:
         return _kernel_sum_fast(n, chi, M)
     prec = prec or arith_precision(n, chi.modulus, M)
@@ -98,42 +96,67 @@ def _kernel_sum_mp(n, chi, M, prec):
     with prec.workprec(20):
         ks, logps = prime_powers(M)
         total = mpmath.mpc(0)
-        for k in ks.tolist():
+        for k, lp in zip(ks.tolist(), logps.tolist()):
             if chi.exponents[k % q] is None:
                 continue
+            p = round(math.exp(lp))  # the base prime: lp is log p to an ulp
             logk = mpmath.log(k)
-            total += chi.value(k, prec) * _log_base_prime(k) / k * laguerre_L1(n - 1, logk, prec)
+            total += chi.value(k, prec) * mpmath.log(p) / k * laguerre_L1(n - 1, logk, prec)
         return +(-total)
 
 
-def _log_base_prime(k: int) -> mpmath.mpf:
-    """log p for a prime power k = p^m, at the ambient mpmath precision."""
-    for p in range(2, int(math.isqrt(k)) + 1):
-        if k % p == 0:
-            return mpmath.log(p)
-    return mpmath.log(k)
-
-
 def _kernel_sum_fast(n, chi, M):
-    q = chi.modulus
-    ks, logps = prime_powers(M)
-    vals = np.array([complex(chi(int(r))) for r in range(q)])
-    w = vals[ks % q]
-    keep = w != 0
-    ks, logps, w = ks[keep], logps[keep], w[keep]
-    logk = np.log(ks.astype(np.float64))
-    # upward Laguerre recurrence vectorized over all k at once
-    prev = np.ones_like(logk)
-    cur = 2.0 - logk
-    if n - 1 == 0:
-        cur = prev
-    else:
-        for k_i in range(1, n - 1):
-            prev, cur = cur, ((2 * k_i + 2 - logk) * cur - (k_i + 1) * prev) / (k_i + 1)
-    total = -np.sum(w * (logps / ks) * cur)
+    return mpmath.mpc(kernel_sums([n], chi, [M])[0])
+
+
+def _chi_table(chi: DirichletCharacter) -> np.ndarray:
+    """chi(r) for r = 0..q-1: exactly 0 and +-1 in float64 for a real
+    character, exp(2 pi i e / order) in complex128 otherwise."""
+    e = np.array([-1 if x is None else x for x in chi.exponents])
     if chi.is_real:
-        total = complex(total.real, 0.0)
-    return mpmath.mpc(total)
+        table = np.where(e == 0, 1.0, -1.0)
+    else:
+        table = np.exp(2j * np.pi * e / chi.order)
+    table[e < 0] = 0
+    return table
+
+
+def kernel_sums(ns, chi: DirichletCharacter, Ms) -> np.ndarray:
+    """-sum over prime powers k = p^m <= M_i of (log p / k) chi(k) L^1_{n_i-1}(log k)
+    for every pair (n_i, M_i), in float64, from one streamed sieve to max(Ms).
+
+    Each block of `prime_power_segments` runs the upward Laguerre recurrence
+    once, to degree max(ns) - 1, and at degree n_i - 1 adds the dot product
+    of the weights chi(k) log p / k with it over the k <= M_i of the block.
+    The recurrence is stable, and the truncation bound 3 sqrt(n / M) stays
+    orders of magnitude above the rounding of the sum.  Returns a complex128
+    array (imaginary parts 0 for a real character).
+    """
+    ns, Ms = list(ns), list(Ms)
+    if len(ns) != len(Ms):
+        raise ValueError("need one cutoff M per n")
+    if not ns:
+        return np.zeros(0, dtype=complex)
+    if min(ns) < 1 or min(Ms) < 2:
+        raise ValueError("need n >= 1 and M >= 2")
+    table = _chi_table(chi)
+    at_degree: dict[int, list[int]] = {}
+    for i, n in enumerate(ns):
+        at_degree.setdefault(n - 1, []).append(i)
+    acc = np.zeros(len(ns), dtype=table.dtype)
+    for ks, logps in prime_power_segments(max(Ms)):
+        w = table[ks % chi.modulus] * (logps / ks)
+        logk = np.log(ks.astype(np.float64))
+        cuts = np.searchsorted(ks, Ms, side="right")
+        prev, cur = None, np.ones_like(logk)
+        for d in range(max(ns)):
+            if d == 1:
+                prev, cur = cur, 2.0 - logk
+            elif d > 1:
+                prev, cur = cur, ((2 * d - logk) * cur - d * prev) / d
+            for i in at_degree.get(d, ()):
+                acc[i] += w[:cuts[i]] @ cur[:cuts[i]]
+    return -acc.astype(complex)
 
 
 def error_bound_EM(n: int, M: int) -> float:
@@ -186,18 +209,38 @@ def li_arith(n: int, chi: DirichletCharacter, params: TruncationParams,
     flag set (the zero sum pairs rho with 1 - conj(rho), so lambda is
     1 - Re[(1 - 1/rho)^n] summed; Im cancels only jointly with conj(chi)).
     """
+    return _li_arith_many([n], chi, [params], prec)[0]
+
+
+def li_arith_sweep(ns, chi: DirichletCharacter, nu: int,
+                   prec: PrecisionConfig | None = None) -> list[LiResult]:
+    """`li_arith` for every n in ns, each truncated at choose_M(n, nu), from
+    one streamed sieve to the largest cutoff (see `kernel_sums`)."""
+    ns = list(ns)
+    return _li_arith_many(ns, chi, [choose_M(n, nu) for n in ns], prec)
+
+
+def _li_arith_many(ns, chi, params, prec):
+    if not ns:
+        return []
     if chi.conductor == 1:
         raise ConductorOne("arithmetic formula requires conductor q > 1")
     if not chi.is_primitive:
         raise NotPrimitive("arithmetic formula requires a primitive character")
     q = chi.modulus
-    prec = prec or arith_precision(n, q, params.M)
-    with prec.workprec(20):
-        main = mpmath.mpf(n) / 2 * (mpmath.log(mpmath.mpf(q) / mpmath.pi) - mpmath.euler)
-        tau = tau_chi(n, chi.parity_a, prec)
-        kernel = prime_power_kernel_sum(n, chi, params.M, prec)
-        value = main + tau + mpmath.re(kernel)
-    return LiResult(n=n, value=float(value), method="arith",
-                    error_bound=error_bound_EM(n, params.M), params=params,
-                    chi_id=(chi.modulus, chi.label),
-                    complex_character=not chi.is_real)
+    kernels = kernel_sums(ns, chi, [p.M for p in params])
+    results = [None] * len(ns)
+    # the largest n first: it needs the most bits, so each zeta(j) in tau_chi
+    # is computed once and merely rounded for the smaller n
+    for i in sorted(range(len(ns)), key=lambda i: -ns[i]):
+        n, M = ns[i], params[i].M
+        prec_n = prec or arith_precision(n, q, M)
+        with prec_n.workprec(20):
+            main = mpmath.mpf(n) / 2 * (mpmath.log(mpmath.mpf(q) / mpmath.pi) - mpmath.euler)
+            tau = tau_chi(n, chi.parity_a, prec_n)
+            value = main + tau + mpmath.mpf(kernels[i].real)
+        results[i] = LiResult(n=n, value=float(value), method="arith",
+                              error_bound=error_bound_EM(n, M), params=params[i],
+                              chi_id=(chi.modulus, chi.label),
+                              complex_character=not chi.is_real)
+    return results

@@ -313,13 +313,21 @@ def real_primitive_character(q: int) -> DirichletCharacter:
         raise NoRealPrimitiveCharacter(
             f"q={q} is not the absolute value of a fundamental discriminant")
     d = candidates[0]
-    values = [kronecker_symbol(d, k) for k in range(q)]
-    for chi in enumerate_characters(q):
-        if chi.is_real and chi.is_primitive and \
-                all(chi.real_value(k) == values[k] for k in range(q)):
-            return chi
-    raise NoRealPrimitiveCharacter(
-        f"internal inconsistency: Kronecker character mod {q} not found in group")
+    # Built directly from the Kronecker values in O(q): chi(k) = -1 has
+    # exponent order/2, and the label is the mixed-radix number of the
+    # exponent vector read off chi on the CRT generators (enumeration order).
+    gen_orders, dlog = _group_structure(q)
+    order = math.lcm(*gen_orders)
+    exponents = tuple(None if v == 0 else (0 if v == 1 else order // 2)
+                      for v in (kronecker_symbol(d, k) for k in range(q)))
+    label = 0
+    for i, s in enumerate(gen_orders):
+        unit = tuple(int(j == i) for j in range(len(gen_orders)))
+        e = exponents[dlog.index(unit)]
+        label = label * s + e * s // order
+    return DirichletCharacter(modulus=q, order=order, exponents=exponents,
+                              parity_a=0 if exponents[q - 1] == 0 else 1,
+                              conductor=q, label=label)
 
 
 @dataclass(frozen=True)

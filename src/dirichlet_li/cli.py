@@ -16,7 +16,7 @@ import sys
 import time
 
 from . import zerosum
-from .arith import choose_M, li_arith
+from .arith import li_arith_sweep
 from .characters import (DirichletCharacter, character_by_label,
                          enumerate_characters, real_primitive_character)
 from .errors import DirichletLiError, InsufficientZeros
@@ -145,6 +145,10 @@ def _li_rows(args, chi, ns, methods) -> tuple[list[dict], bool]:
     zl = None
     if "zeros" in methods and any(n > 0 for n in ns):
         zl = _zero_source(args, chi, max(ns))
+    arith = {}
+    if "arith" in methods:
+        positive_ns = [n for n in ns if n > 0]
+        arith = dict(zip(positive_ns, li_arith_sweep(positive_ns, chi, args.nu, prec)))
     rows = []
     all_finite = True
     for n in ns:
@@ -160,10 +164,9 @@ def _li_rows(args, chi, ns, methods) -> tuple[list[dict], bool]:
             continue
         pos = True
         if "arith" in methods:
-            params = choose_M(n, args.nu)
-            ra = li_arith(n, chi, params, prec)
+            ra = arith[n]
             row.update(lambda_arith=ra.value, bound_arith=ra.error_bound,
-                       M=params.M)
+                       M=ra.params.M)
             pos = pos and ra.positive
             all_finite = all_finite and math.isfinite(ra.error_bound)
             if args.pair and ra.complex_character:
@@ -202,9 +205,7 @@ def cmd_compare(args) -> int:
     zl = _zero_source(args, chi, max(ns))
     all_ok = True
     t0 = time.perf_counter()
-    arith = {}
-    for n in ns:
-        arith[n] = li_arith(n, chi, choose_M(n, args.nu), prec)
+    arith = dict(zip(ns, li_arith_sweep(ns, chi, args.nu, prec)))
     t_arith = time.perf_counter() - t0
     t0 = time.perf_counter()
     zsum = {n: zerosum.li_zero_sum(n, zl) for n in ns}

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+from typing import Iterator
+
 import numpy as np
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # deterministic to 3.3e24
@@ -33,7 +36,8 @@ def is_prime(n: int) -> bool:
 
 
 def sieve_primes(limit: int) -> np.ndarray:
-    """All primes <= limit, ascending, as int64."""
+    """All primes <= limit, ascending, as int64 (the base primes of the
+    segmented sieve; one bool per integer, so keep limit small)."""
     if limit < 2:
         return np.empty(0, dtype=np.int64)
     flags = np.ones(limit + 1, dtype=bool)
@@ -44,23 +48,59 @@ def sieve_primes(limit: int) -> np.ndarray:
     return np.nonzero(flags)[0].astype(np.int64)
 
 
+# Integers per block of the segmented sieve: the sieve holds one bool per
+# integer of a block plus the base primes up to sqrt(limit), whatever the limit.
+SEGMENT = 1 << 21
+
+
+def prime_power_segments(limit: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Segmented sieve of Eratosthenes (Bays-Hudson): all prime powers
+    k = p^m <= limit with Lambda(k) = log p, as (k, log_p) int64/float64
+    arrays in ascending blocks of SEGMENT integers.
+
+    The base primes up to sqrt(limit) are sieved once; the powers p^m,
+    m >= 2, are all multiples of a base prime, so they are listed once and
+    merged into the block they fall in.
+    """
+    if limit < 2:
+        return
+    base = sieve_primes(math.isqrt(limit)).tolist()
+    pk, pbase = [], []
+    for p in base:
+        v = p * p
+        while v <= limit:
+            pk.append(v)
+            pbase.append(p)
+            v *= p
+    order = np.argsort(pk)
+    pk = np.array(pk, dtype=np.int64)[order]
+    plog = np.log(np.array(pbase, dtype=np.float64))[order]
+    for lo in range(2, limit + 1, SEGMENT):
+        hi = min(lo + SEGMENT, limit + 1)  # this block is [lo, hi)
+        flags = np.ones(hi - lo, dtype=bool)
+        for p in base:
+            if p * p >= hi:
+                break
+            start = max(p * p, -(-lo // p) * p)
+            flags[start - lo:: p] = False
+        ks = np.nonzero(flags)[0].astype(np.int64) + lo
+        logs = np.log(ks.astype(np.float64))
+        a, b = np.searchsorted(pk, [lo, hi])
+        if b > a:
+            at = np.searchsorted(ks, pk[a:b])
+            ks = np.insert(ks, at, pk[a:b])
+            logs = np.insert(logs, at, plog[a:b])
+        yield ks, logs
+
+
 def prime_powers(limit: int) -> tuple[np.ndarray, np.ndarray]:
     """All prime powers k = p^m <= limit with weights Lambda(k) = log p.
 
-    Returns (k, log_p) sorted ascending in k.
+    Returns (k, log_p) sorted ascending in k: the blocks of
+    `prime_power_segments` joined.
     """
-    primes = sieve_primes(limit)
-    ks = [primes]
-    logs = [np.log(primes.astype(np.float64))]
-    root = primes[primes * primes <= limit] if primes.size else primes
-    for p in root.tolist():
-        lp = np.log(float(p))
-        v = p * p
-        while v <= limit:
-            ks.append(np.array([v], dtype=np.int64))
-            logs.append(np.array([lp]))
-            v *= p
-    k = np.concatenate(ks)
-    lp = np.concatenate(logs)
-    order = np.argsort(k, kind="stable")
-    return k[order], lp[order]
+    blocks = list(prime_power_segments(limit))
+    if not blocks:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+    return (np.concatenate([k for k, _ in blocks]),
+            np.concatenate([lp for _, lp in blocks]))

@@ -160,27 +160,30 @@ def hurwitz_zeta_minus_pole(a, prec: PrecisionConfig | None = None) -> mpmath.mp
         return +total
 
 
-_zeta_int_cache: dict[tuple[int, int], mpmath.mpf] = {}
+# j -> (working_bits, zeta(j)) at the highest precision asked for so far
+_zeta_int_cache: dict[int, tuple[int, mpmath.mpf]] = {}
 
 
 def zeta_int(j: int, prec: PrecisionConfig | None = None) -> mpmath.mpf:
     """zeta(j) for integer j >= 2: even j by the Bernoulli closed form
-    pi^(2m) |B_2m| 2^(2m-1) / (2m)!, odd j via Euler-Maclaurin."""
+    pi^(2m) |B_2m| 2^(2m-1) / (2m)!, odd j via Euler-Maclaurin.
+
+    The memo keeps the most precise value per j and serves any lower
+    precision by rounding it."""
     if j < 2:
         raise ValueError("need j >= 2")
     prec = prec or default_precision()
-    key = (j, prec.working_bits)
-    if key in _zeta_int_cache:
-        return _zeta_int_cache[key]
+    bits, val = _zeta_int_cache.get(j, (0, None))
     with prec.workprec():
+        if bits >= prec.working_bits:
+            return +val
         if j % 2 == 0:
-            m = j // 2
             b = bernoulli(j)
             val = (mpmath.pi ** j * abs(mpmath.mpf(b.numerator)) / b.denominator
                    * mpmath.mpf(2) ** (j - 1) / mpmath.factorial(j))
         else:
             val = mpmath.re(hurwitz_zeta(mpmath.mpf(j), 1, prec))
-    _zeta_int_cache[key] = val
+    _zeta_int_cache[j] = (prec.working_bits, val)
     return val
 
 

@@ -1,12 +1,15 @@
 """Arithmetic (prime-power) formula: tau term, kernel sum, truncation logic."""
 
 import math
+from functools import lru_cache
 
 import mpmath
 import pytest
 
-from dirichlet_li.arith import (TruncationParams, choose_M, error_bound_EM,
-                                li_arith, prime_power_kernel_sum, tau_chi)
+from dirichlet_li import primes, specfun
+from dirichlet_li.arith import (TruncationParams, _kernel_sum_mp, choose_M,
+                                error_bound_EM, kernel_sums, li_arith,
+                                li_arith_sweep, prime_power_kernel_sum, tau_chi)
 from dirichlet_li.characters import (character_by_label, enumerate_characters,
                                      real_primitive_character)
 from dirichlet_li.errors import ConductorOne, NotPrimitive
@@ -207,3 +210,54 @@ def test_li_arith_complex_flag():
     assert res.complex_character
     # derived frozen reference: Re lambda(1) for 5.1 is 0.10161071629
     assert res.value == pytest.approx(0.10161071629, abs=res.error_bound)
+
+
+# ----------------------------------------------------------------------------
+# one sieve and one Laguerre pass for all n
+
+SWEEP_NS = list(range(1, 13))
+SWEEP_MS = [2000 - 97 * i for i in range(12)]  # distinct, each <= 2000
+
+
+@lru_cache(maxsize=None)
+def big_float_kernels(q, label):
+    chi = character_by_label(q, label)
+    return [complex(_kernel_sum_mp(n, chi, M, arith_precision(n, q, M)))
+            for n, M in zip(SWEEP_NS, SWEEP_MS)]
+
+
+@pytest.mark.parametrize("q,label", [(3, 1), (5, 1), (60, 14)])
+@pytest.mark.parametrize("segment", [None, 7, 64])
+def test_kernel_sums_match_big_float(monkeypatch, q, label, segment):
+    if segment is not None:
+        monkeypatch.setattr(primes, "SEGMENT", segment)
+    chi = character_by_label(q, label)
+    got = kernel_sums(SWEEP_NS, chi, SWEEP_MS)
+    for n, M, g, ref in zip(SWEEP_NS, SWEEP_MS, got, big_float_kernels(q, label)):
+        assert abs(g - ref) <= 1e-12 * abs(ref), (q, label, n, M)
+        if chi.is_real:
+            assert g.imag == 0
+
+
+def test_li_arith_is_one_element_sweep():
+    chi = character_by_label(60, 14)
+    swept = li_arith_sweep([3, 1, 2], chi, 1)
+    assert [r.n for r in swept] == [3, 1, 2]
+    for r in swept:
+        assert r == li_arith(r.n, chi, choose_M(r.n, 1))
+
+
+def test_tau_independent_of_call_order(monkeypatch):
+    # the zeta(j) memo rounds its most precise value; cold runs in either
+    # order must give the same tau at the precisions the sweep uses
+    ns = range(1, 37)
+    precs = {n: arith_precision(n, 60, choose_M(n, 2).M) for n in ns}
+    runs = []
+    for order in (ns, reversed(ns)):
+        monkeypatch.setattr(specfun, "_zeta_int_cache", {})
+        runs.append({(n, a): tau_chi(n, a, precs[n]) for n in order for a in (0, 1)})
+    up, down = runs
+    for (n, a), v in up.items():
+        assert float(v) == float(down[n, a]), (n, a)
+        with mpmath.workprec(precs[n].working_bits + 20):
+            assert abs(v - down[n, a]) <= 2.0 ** -precs[n].working_bits * max(1, abs(v))

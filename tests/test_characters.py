@@ -147,3 +147,16 @@ def test_values_are_roots_of_unity():
             v = chi(k)
             assert abs(abs(v) - 1) < 1e-12
             assert abs(v ** chi.order - 1) < 1e-10
+
+
+def test_real_primitive_character_matches_enumeration():
+    # the O(q) construction against the whole-group search it replaces
+    for q in range(2, 301):
+        candidates = [d for d in (q, -q) if is_fundamental_discriminant(d)]
+        if not candidates:
+            continue
+        values = [kronecker_symbol(candidates[0], k) for k in range(q)]
+        oracle = [chi for chi in enumerate_characters(q)
+                  if chi.is_real and chi.is_primitive
+                  and all(chi.real_value(k) == values[k] for k in range(q))]
+        assert oracle and real_primitive_character(q) == oracle[0], q

@@ -4,7 +4,9 @@ import math
 
 import pytest
 
-from dirichlet_li.cli import CSV_COLUMNS, _parse_n_range, main
+from dirichlet_li.arith import choose_M, li_arith
+from dirichlet_li.characters import character_by_label
+from dirichlet_li.cli import CSV_COLUMNS, _fmt, _parse_n_range, main
 from dirichlet_li.lfunc import write_zeros
 
 from conftest import CACHE_DIR
@@ -120,6 +122,21 @@ def test_li_finite_bounds_exit_zero(q3_zero_file, capsys):
         assert math.isfinite(float(fields["bound_arith"]))
         assert fields["lambda_zeros"] == ""
         assert fields["positive"] == "yes"
+
+
+def test_li_arith_sweep_rows_match_per_n(capsys):
+    # one sweep for n = 1..12 gives the rows twelve separate li_arith calls give
+    code, out, _ = run(capsys, "li", "--q", "60", "--label", "14", "--nu", "1",
+                       "--n", "1..12", "--method", "arith", "--format", "csv")
+    assert code == 0
+    chi = character_by_label(60, 14)
+    expected = []
+    for n in range(1, 13):
+        params = choose_M(n, 1)
+        r = li_arith(n, chi, params)
+        expected.append(",".join(_fmt(v) for v in (
+            n, r.value, r.error_bound, params.M, None, None, None, None, r.positive)))
+    assert out.strip().splitlines()[1:] == expected
 
 
 def test_li_csv_deterministic(q3_zero_file, capsys):
