@@ -65,7 +65,7 @@ def tau_chi(n: int, parity_a: int, prec: PrecisionConfig | None = None) -> mpmat
     prec = prec or arith_precision(n, 2, 2)
     with mpmath.workprec(prec.working_bits + 2 * n + 20):
         total = mpmath.mpf(0)
-        wide = PrecisionConfig(working_bits=mpmath.mp.prec, target_abs_error=prec.target_abs_error)
+        wide = PrecisionConfig(working_bits=mpmath.mp.prec)
         for j in range(2, n + 1):
             zj = zeta_int(j, wide)
             w = mpmath.mpf(2) ** (-j)

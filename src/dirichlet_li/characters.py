@@ -292,11 +292,21 @@ def enumerate_characters(q: int) -> list[DirichletCharacter]:
 
 
 def character_by_label(q: int, label: int) -> DirichletCharacter:
-    chars = enumerate_characters(q)
-    if not 0 <= label < len(chars):
+    """The character with the given label, built alone: the label is the
+    mixed-radix number of the exponent vector, first generator most
+    significant (the enumeration order)."""
+    if q < 1:
+        raise InvalidModulus("modulus must be a positive integer")
+    gen_orders, dlog = _group_structure(q)
+    count = math.prod(gen_orders)
+    if not 0 <= label < count:
         raise LabelOutOfRange(f"label {label} out of range for modulus {q} "
-                              f"({len(chars)} characters)")
-    return chars[label]
+                              f"({count} characters)")
+    vec, rest = [], label
+    for s in reversed(gen_orders):
+        rest, c = divmod(rest, s)
+        vec.insert(0, c)
+    return _build_character(q, gen_orders, dlog, tuple(vec), label)
 
 
 def real_primitive_character(q: int) -> DirichletCharacter:
@@ -313,21 +323,14 @@ def real_primitive_character(q: int) -> DirichletCharacter:
         raise NoRealPrimitiveCharacter(
             f"q={q} is not the absolute value of a fundamental discriminant")
     d = candidates[0]
-    # Built directly from the Kronecker values in O(q): chi(k) = -1 has
-    # exponent order/2, and the label is the mixed-radix number of the
-    # exponent vector read off chi on the CRT generators (enumeration order).
+    # The label read off the Kronecker values on the CRT generators: chi = -1
+    # on a generator of order s is the exponent s/2 there.
     gen_orders, dlog = _group_structure(q)
-    order = math.lcm(*gen_orders)
-    exponents = tuple(None if v == 0 else (0 if v == 1 else order // 2)
-                      for v in (kronecker_symbol(d, k) for k in range(q)))
     label = 0
     for i, s in enumerate(gen_orders):
         unit = tuple(int(j == i) for j in range(len(gen_orders)))
-        e = exponents[dlog.index(unit)]
-        label = label * s + e * s // order
-    return DirichletCharacter(modulus=q, order=order, exponents=exponents,
-                              parity_a=0 if exponents[q - 1] == 0 else 1,
-                              conductor=q, label=label)
+        label = label * s + (0 if kronecker_symbol(d, dlog.index(unit)) == 1 else s // 2)
+    return character_by_label(q, label)
 
 
 @dataclass(frozen=True)

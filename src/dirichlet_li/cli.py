@@ -56,6 +56,17 @@ def _parse_n_range(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
+def _at_least(kind, lo):
+    """argparse type: a finite `kind` number no smaller than `lo`."""
+    def parse(text: str):
+        value = kind(text)
+        if not (math.isfinite(value) and value >= lo):
+            raise argparse.ArgumentTypeError(f"must be a finite number >= {lo}, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names the type in its messages
+    return parse
+
+
 def _select_character(q: int, label: int | None) -> DirichletCharacter:
     if label is not None:
         return character_by_label(q, label)
@@ -129,7 +140,7 @@ def cmd_zeros(args) -> int:
         print("error: need --tmax or --zeros-count", file=sys.stderr)
         return 2
     zl = find_zeros_upper(chi, T)
-    expected = n_formula(T, chi.modulus) if T >= 1 else 0.0
+    expected = n_formula(T, chi.modulus)
     print(f"found {len(zl)} zeros of L(s, chi_{chi.modulus}.{chi.label}) with "
           f"0 < gamma <= {T:g} (counting formula: {expected:.2f})")
     if len(zl) == 0:
@@ -312,8 +323,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pz = sub.add_parser("zeros", help="compute critical-line zeros")
     pz.add_argument("--q", type=int, required=True)
     pz.add_argument("--label", type=int)
-    pz.add_argument("--tmax", type=float)
-    pz.add_argument("--zeros-count", type=int)
+    pz.add_argument("--tmax", type=_at_least(float, 1))
+    pz.add_argument("--zeros-count", type=_at_least(int, 1))
     pz.add_argument("--out")
     pz.set_defaults(func=cmd_zeros)
 
@@ -322,12 +333,11 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--label", type=int)
         sp.add_argument("--n", type=_parse_n_range, required=True,
                         help="single n or range A..B")
-        sp.add_argument("--nu", type=int, default=3,
+        sp.add_argument("--nu", type=_at_least(int, 1), default=3,
                         help="arithmetic truncation target 10^-nu")
-        sp.add_argument("--k", type=int, default=3,
+        sp.add_argument("--k", type=_at_least(int, 0), default=3,
                         help="zero-sum tail target 10^-k")
-        sp.add_argument("--prec-bits", type=int,
-                        default=None)
+        sp.add_argument("--prec-bits", type=_at_least(int, 64), default=None)
         sp.add_argument("--zeros", help="zero file (lfunc format)")
         sp.add_argument("--out")
 

@@ -35,10 +35,6 @@ class PoleAtOne(DirichletLiError):
     """Hurwitz zeta evaluated at its pole s = 1."""
 
 
-class PrecisionUnreachable(DirichletLiError):
-    """Euler-Maclaurin truncation index would exceed the configured ceiling."""
-
-
 class OutOfDomain(DirichletLiError):
     """Argument outside the function's real domain."""
 

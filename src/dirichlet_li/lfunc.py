@@ -254,6 +254,7 @@ def read_zeros(path, chi_id: tuple[int, int] | None = None,
                accuracy: float = 1e-9) -> ZeroList:
     """Parse a zero file; `chi_id` (q, label) is checked when given."""
     header: dict[str, str] = {}
+    header_line: dict[str, int] = {}
     records = []
     last_gamma = -math.inf
     with open(path, "r", encoding="utf-8") as fh:
@@ -265,7 +266,7 @@ def read_zeros(path, chi_id: tuple[int, int] | None = None,
                 for tok in line[1:].split():
                     if "=" in tok:
                         k, v = tok.split("=", 1)
-                        header[k] = v
+                        header[k], header_line[k] = v, lineno
                 continue
             parts = line.split()
             try:
@@ -275,6 +276,10 @@ def read_zeros(path, chi_id: tuple[int, int] | None = None,
                 raise ParseError(f"bad record {line!r}: {exc}", lineno) from None
             if len(parts) > 2:
                 raise ParseError(f"too many fields in {line!r}", lineno)
+            if not math.isfinite(gamma):
+                raise ParseError(f"ordinate must be finite, got {gamma}", lineno)
+            if alpha < 1:
+                raise ParseError(f"multiplicity must be >= 1, got {alpha}", lineno)
             if gamma <= last_gamma:
                 raise ParseError(
                     f"ordinates must be strictly ascending ({gamma} after {last_gamma})",
@@ -283,14 +288,27 @@ def read_zeros(path, chi_id: tuple[int, int] | None = None,
                 raise ParseError(f"gamma must be positive, got {gamma}", lineno)
             last_gamma = gamma
             records.append(ZeroRecord(gamma=gamma, alpha=alpha, accuracy=accuracy))
-    for key in ("q", "label", "height"):
+
+    def field(key, kind):
         if key not in header:
             raise ParseError(f"missing header field {key}")
-    q, label = int(header["q"]), int(header["label"])
+        try:
+            return kind(header[key])
+        except ValueError:
+            raise ParseError(f"bad header field {key}={header[key]!r}",
+                             header_line[key]) from None
+
+    q, label, height = field("q", int), field("label", int), field("height", float)
+    if not (math.isfinite(height) and height > 0):
+        raise ParseError(f"height must be finite and positive, got {height}",
+                         header_line["height"])
+    provenance = header.get("provenance", "imported")
+    if provenance not in ("computed", "imported"):
+        raise ParseError(f"bad provenance {provenance!r}", header_line["provenance"])
     if chi_id is not None and (q, label) != tuple(chi_id):
         raise ModulusMismatch(
             f"file is for character {q}.{label}, expected {chi_id[0]}.{chi_id[1]}")
     return ZeroList(chi_id=(q, label), records=tuple(records),
-                    height=float(header["height"]),
-                    provenance=header.get("provenance", "imported"),
+                    height=height,
+                    provenance=provenance,
                     symmetric=header.get("symmetric", "true").lower() != "false")

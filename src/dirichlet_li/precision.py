@@ -1,9 +1,7 @@
 """Working-precision configuration for all big-float evaluation.
 
-Every high-precision operation takes a :class:`PrecisionConfig`; the pair
-(binary working precision, target absolute error) governs Euler-Maclaurin
-truncation depths, iteration stopping rules and the guard bits added on top
-of the requested precision.
+Every high-precision operation takes a :class:`PrecisionConfig`: the binary
+working precision, to which the evaluating routine adds its guard bits.
 """
 
 from __future__ import annotations
@@ -27,18 +25,10 @@ _ENV_BITS = "LI_PREC_BITS"
 @dataclass(frozen=True)
 class PrecisionConfig:
     working_bits: int = ZERO_SUM_BITS
-    target_abs_error: float = 1e-20
 
     def __post_init__(self):
         if self.working_bits < 64:
             raise ValueError(f"working_bits must be >= 64, got {self.working_bits}")
-        if not self.target_abs_error > 0:
-            raise ValueError("target_abs_error must be positive")
-
-    @property
-    def eps(self) -> mpmath.mpf:
-        """2^(-working_bits), the unit roundoff of the configured precision."""
-        return mpmath.mpf(2) ** (-self.working_bits)
 
     def workprec(self, extra: int = GUARD_BITS):
         """Context manager setting mpmath precision to working_bits + extra."""
@@ -50,7 +40,7 @@ def default_precision(bits: int | None = None) -> PrecisionConfig:
     if bits is None:
         env = os.environ.get(_ENV_BITS)
         bits = int(env) if env else ZERO_SUM_BITS
-    return PrecisionConfig(working_bits=bits, target_abs_error=float(mpmath.mpf(2) ** (-bits + GUARD_BITS)))
+    return PrecisionConfig(working_bits=bits)
 
 
 def arith_precision(n: int, q: int, M: int) -> PrecisionConfig:
@@ -60,5 +50,4 @@ def arith_precision(n: int, q: int, M: int) -> PrecisionConfig:
     intermediate binomials grow like C(n, n/2) ~ 2^n, so the working precision
     scales with n and with log2(q*M).
     """
-    bits = 64 + 2 * n + math.ceil(math.log2(max(2, q * M)))
-    return PrecisionConfig(working_bits=bits, target_abs_error=float(mpmath.mpf(2) ** (-bits + 2 * GUARD_BITS)))
+    return PrecisionConfig(working_bits=64 + 2 * n + math.ceil(math.log2(max(2, q * M))))

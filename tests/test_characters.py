@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from dirichlet_li.characters import (character_by_label, enumerate_characters,
                                      gauss_sum, is_fundamental_discriminant,
                                      kronecker_symbol, real_primitive_character)
-from dirichlet_li.errors import NoRealPrimitiveCharacter, NotPrimitive
+from dirichlet_li.errors import (InvalidModulus, LabelOutOfRange,
+                                 NoRealPrimitiveCharacter, NotPrimitive)
 
 
 def euler_phi(q):
@@ -160,3 +161,17 @@ def test_real_primitive_character_matches_enumeration():
                   if chi.is_real and chi.is_primitive
                   and all(chi.real_value(k) == values[k] for k in range(q))]
         assert oracle and real_primitive_character(q) == oracle[0], q
+
+
+def test_character_by_label_matches_enumeration():
+    # the one-character construction against the enumeration order
+    for q in range(1, 121):
+        chars = enumerate_characters(q)
+        for label, chi in enumerate(chars):
+            assert character_by_label(q, label) == chi, (q, label)
+        with pytest.raises(LabelOutOfRange):
+            character_by_label(q, len(chars))
+    with pytest.raises(LabelOutOfRange):
+        character_by_label(5, -1)
+    with pytest.raises(InvalidModulus):
+        character_by_label(0, 0)

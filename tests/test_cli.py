@@ -181,6 +181,31 @@ def test_li_label_out_of_range(capsys):
     assert "error:" in err
 
 
+def test_li_malformed_zero_file(capsys, tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("# q=3 label=1 height=16\n8.0\ninf\n")
+    code, _, err = run(capsys, "li", "--q", "3", "--label", "1", "--n", "1",
+                       "--method", "zeros", "--zeros", str(path))
+    assert code == 2
+    assert "line 3" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("li", "--q", "3", "--n", "1", "--method", "arith", "--nu", "0"),
+    ("li", "--q", "3", "--n", "1", "--method", "arith", "--nu", "-1"),
+    ("li", "--q", "3", "--n", "1", "--method", "arith", "--prec-bits", "10"),
+    ("li", "--q", "3", "--n", "1", "--method", "zeros", "--k", "-1"),
+    ("compare", "--q", "3", "--n", "1", "--nu", "0"),
+    ("zeros", "--q", "3", "--tmax", "0.5"),
+    ("zeros", "--q", "3", "--zeros-count", "-5"),
+])
+def test_numeric_flag_lower_bounds(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "must be a finite number >=" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------------------
 # compare command
 

@@ -157,6 +157,18 @@ def test_zero_certificates(zeros_q3):
         assert a * b < 0, rec.gamma
 
 
+def test_zero_certificate_at_top_of_list(zeros_q3):
+    # the oracle brackets the last of the 10^4 ordinates (t near 8585); xi is
+    # about 1e-2930 there, so the signs are read in big floats, not floats
+    chi3 = real_primitive_character(3)
+    prec = PrecisionConfig(working_bits=96)
+    gamma = zeros_q3.records[-1].gamma
+    assert gamma > 8000
+    a = hardy_z(gamma - 1e-6, chi3, prec)
+    b = hardy_z(gamma + 1e-6, chi3, prec)
+    assert mpmath.sign(a) * mpmath.sign(b) == -1, (gamma, a, b)
+
+
 def test_find_zeros_rejects_complex_and_principal():
     with pytest.raises(ComplexCharacterUnsupported):
         find_zeros(character_by_label(5, 1), 30)
@@ -232,6 +244,14 @@ def test_zero_file_modulus_mismatch(tmp_path):
     ("# q=3 label=1 height=16\nnot-a-number\n", "bad record"),
     ("8.0\n", "missing header"),
     ("# q=3 label=1 height=16\n-4.0\n", "positive"),
+    ("# q=three label=1 height=16\n8.0\n", "line 1: bad header field q"),
+    ("# q=3\n# label=1.5 height=16\n8.0\n", "line 2: bad header field label"),
+    ("# q=3 label=1 height=high\n8.0\n", "line 1: bad header field height"),
+    ("# q=3 label=1 height=16\n8.0\n9.0 0\n", "line 3: multiplicity"),
+    ("# q=3 label=1 height=16\n8.0\nnan\n", "line 3: .*finite"),
+    ("# q=3 label=1 height=16\n8.0\ninf\n", "line 3: .*finite"),
+    ("# q=3 label=1 height=nan\n8.0\n", "line 1: height must be finite"),
+    ("# q=3 label=1 height=16\n# provenance=measured\n8.0\n", "line 2: bad provenance"),
 ])
 def test_zero_file_parse_errors(tmp_path, body, msg):
     path = tmp_path / "zeros.txt"
