@@ -272,8 +272,7 @@ def cmd_table(args) -> int:
     if args.zeros:
         zl = read_zeros(args.zeros, chi_id=(chi.modulus, chi.label))
     else:
-        count = args.zeros_count or 10 ** 4
-        T = height_for_count(chi.modulus, count)
+        T = height_for_count(chi.modulus, args.zeros_count)
         zl = find_zeros_upper(chi, T)
     if len(zl) < 10 ** 4:
         raise InsufficientZeros(
@@ -282,7 +281,7 @@ def cmd_table(args) -> int:
     print(f"assumption: {spec.assumption}")
     ns = sorted(spec.rows)
     params = zerosum.PartialSumParams(N=10 ** 4, T=min(
-        zl.records[10 ** 4 - 1].gamma, zl.height))
+        float(zl.gammas()[10 ** 4 - 1]), zl.height))
     vals = zerosum.zero_sum_values(zl, ns, N=10 ** 4)
     rows = []
     worst = 0.0
@@ -358,7 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pt = sub.add_parser("table", help="reproduce a published table")
     pt.add_argument("--name", choices=sorted(TABLES), required=True)
     pt.add_argument("--zeros")
-    pt.add_argument("--zeros-count", type=int)
+    pt.add_argument("--zeros-count", type=_at_least(int, 1), default=10 ** 4)
     pt.add_argument("--out")
     pt.add_argument("--plot-script")
     pt.add_argument("--format", choices=("table", "csv"), default="table")

@@ -2,14 +2,15 @@
 
 High-precision values go through the Hurwitz-zeta decomposition
 L(s, chi) = q^(-s) sum_a chi(a) zeta(s, a/q); zero scanning delegates to the
-vectorized double-precision engine in `fastzeros` (the located ordinates are
-accurate to ~1e-12, certified to the claimed 1e-10).
+vectorized double-precision engine in `fastzeros` (each located ordinate is
+the midpoint of a sign-change bracket no wider than 1e-11).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
@@ -20,9 +21,6 @@ from .errors import (ComplexCharacterUnsupported, ModulusMismatch, NotPrimitive,
                      ParseError, PrincipalCharacter)
 from .precision import PrecisionConfig, default_precision
 from .specfun import hurwitz_zeta, hurwitz_zeta_minus_pole, log_gamma
-
-ZERO_ACCURACY = 1e-10  # guaranteed |gamma_true - gamma| for computed lists
-
 
 # ----------------------------------------------------------------------------
 # values
@@ -103,9 +101,7 @@ def height_for_count(q: int, count: int) -> float:
     for _ in range(200):
         f = n_formula(T, q) - count
         df = (math.log(T) + math.log(q) - math.log(2 * math.pi)) / (2 * math.pi)
-        T_new = T - f / df
-        if T_new < 1:
-            T_new = T / 2
+        T_new = max(T - f / df, 1.0)  # n_formula needs T >= 1
         if abs(T_new - T) < 1e-9:
             break
         T = T_new
@@ -115,33 +111,44 @@ def height_for_count(q: int, count: int) -> float:
 # ----------------------------------------------------------------------------
 # zero lists
 
-@dataclass(frozen=True)
-class ZeroRecord:
-    gamma: float
-    alpha: int = 1
-    accuracy: float = ZERO_ACCURACY
+ZERO_DTYPE = np.dtype([("gamma", np.float64), ("alpha", np.int64)])
 
-    def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.alpha < 1:
+
+class ZeroRecord(namedtuple("ZeroRecord", "gamma alpha")):
+    """One ordinate and its multiplicity, checked on construction; a row of
+    `ZeroList.records` has the same two attributes."""
+    __slots__ = ()
+
+    def __new__(cls, gamma: float, alpha: int = 1):
+        if not gamma > 0:
+            raise ValueError(f"gamma must be positive, got {gamma}")
+        if alpha < 1:
             raise ValueError("alpha must be >= 1")
-        if not self.accuracy > 0:
-            raise ValueError("accuracy must be positive")
+        return super().__new__(cls, gamma, alpha)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ZeroList:
     chi_id: tuple[int, int]  # (q, label)
-    records: tuple[ZeroRecord, ...]
+    # one read-only record array of ZERO_DTYPE; built from a structured array
+    # or from any sequence of (gamma, alpha) pairs such as ZeroRecord
+    records: np.recarray
     height: float
     provenance: str  # "computed" | "imported"
     symmetric: bool = True  # conjugate-symmetric zeros (gamma > 0 listed once)
 
     def __post_init__(self):
-        gammas = [r.gamma for r in self.records]
-        if any(b <= a for a, b in zip(gammas, gammas[1:])):
+        # np.array takes only exact tuples as structured rows; fromiter also
+        # takes named tuples and the rows of another record array
+        records = np.fromiter(self.records, ZERO_DTYPE).view(np.recarray)
+        records.flags.writeable = False
+        object.__setattr__(self, "records", records)
+        if np.any(np.diff(records.gamma) <= 0):
             raise ValueError("zero ordinates must be strictly increasing")
+        if not np.all(records.gamma > 0):
+            raise ValueError("gamma must be positive")
+        if np.any(records.alpha < 1):
+            raise ValueError("alpha must be >= 1")
         if self.provenance not in ("computed", "imported"):
             raise ValueError(f"bad provenance {self.provenance!r}")
 
@@ -149,13 +156,13 @@ class ZeroList:
         return len(self.records)
 
     def gammas(self) -> np.ndarray:
-        return np.array([r.gamma for r in self.records])
+        return self.records.gamma
 
     def alphas(self) -> np.ndarray:
-        return np.array([r.alpha for r in self.records], dtype=np.int64)
+        return self.records.alpha
 
     def count_below(self, T: float) -> int:
-        return int(sum(r.alpha for r in self.records if r.gamma <= T))
+        return int(self.alphas()[self.gammas() <= T].sum())
 
 
 def completeness_tolerance(T: float) -> float:
@@ -184,17 +191,7 @@ def find_zeros_upper(chi: DirichletCharacter, T_max: float) -> ZeroList:
     reproduces the published-table convention for complex characters.  Use
     find_zeros_merged for the convention-free full spectrum.
     """
-    if chi.is_principal:
-        raise PrincipalCharacter("principal character not supported")
-    if not chi.is_primitive:
-        raise NotPrimitive("zero scanning requires a primitive character")
-    if T_max < 1:
-        raise ValueError("need T_max >= 1")
-    gammas, _h = fastzeros.find_zeros_fast(
-        chi, T_max, lambda T: n_formula(T, chi), completeness_tolerance(T_max))
-    records = tuple(ZeroRecord(gamma=float(g)) for g in gammas)
-    return ZeroList(chi_id=(chi.modulus, chi.label), records=records,
-                    height=float(T_max), provenance="computed")
+    return _scan(chi, T_max, (1,))
 
 
 def find_zeros_merged(chi: DirichletCharacter, T_max: float) -> ZeroList:
@@ -202,10 +199,18 @@ def find_zeros_merged(chi: DirichletCharacter, T_max: float) -> ZeroList:
     lower-half-plane ordinates folded to |gamma| and the list flagged
     symmetric=false (each record enters the zero sum once, no factor 2).
 
-    The two half planes are scanned separately; the combined count is
-    checked against twice the smooth main term.  Coinciding ordinates from
-    the two sides (none are expected) would be merged with alpha = 2.
+    The two half planes are scanned separately, and each one's count is
+    checked against the smooth main term on its own.  Coinciding ordinates
+    from the two sides (none are expected) are merged with alpha = 2.
     """
+    return _scan(chi, T_max, (1, -1))
+
+
+def _scan(chi: DirichletCharacter, T_max: float, sides) -> ZeroList:
+    """One completeness-checked scan per half plane (side 1 upper, -1 lower,
+    folded to |gamma|); ordinates within 1e-9 of their neighbour become one
+    record with the multiplicity of the group.  One side gives a list flagged
+    symmetric, two sides one that is not."""
     if chi.is_principal:
         raise PrincipalCharacter("principal character not supported")
     if not chi.is_primitive:
@@ -213,20 +218,14 @@ def find_zeros_merged(chi: DirichletCharacter, T_max: float) -> ZeroList:
     if T_max < 1:
         raise ValueError("need T_max >= 1")
     tol = completeness_tolerance(T_max)
-    up, _ = fastzeros.find_zeros_fast(
-        chi, T_max, lambda T: n_formula(T, chi), tol, side=1)
-    down, _ = fastzeros.find_zeros_fast(
-        chi, T_max, lambda T: n_formula(T, chi), tol, side=-1)
-    merged = np.sort(np.concatenate([up, down]))
-    records = []
-    for g in merged:
-        if records and g - records[-1].gamma < 1e-9:
-            records[-1] = ZeroRecord(gamma=records[-1].gamma,
-                                     alpha=records[-1].alpha + 1)
-        else:
-            records.append(ZeroRecord(gamma=float(g)))
-    return ZeroList(chi_id=(chi.modulus, chi.label), records=tuple(records),
-                    height=float(T_max), provenance="computed", symmetric=False)
+    gammas = np.sort(np.concatenate([fastzeros.find_zeros_fast(
+        chi, T_max, lambda T: n_formula(T, chi), tol, side=side)[0] for side in sides]))
+    first = np.diff(gammas, prepend=-np.inf) >= 1e-9
+    alphas = np.diff(np.append(np.flatnonzero(first), len(gammas)))
+    return ZeroList(chi_id=(chi.modulus, chi.label),
+                    records=np.rec.fromarrays([gammas[first], alphas], dtype=ZERO_DTYPE),
+                    height=float(T_max), provenance="computed",
+                    symmetric=len(sides) == 1)
 
 
 # ----------------------------------------------------------------------------
@@ -243,15 +242,11 @@ def write_zeros(path, zeros: ZeroList) -> None:
         fh.write(f"# provenance={zeros.provenance}\n")
         if not zeros.symmetric:
             fh.write("# symmetric=false\n")
-        for r in zeros.records:
-            if r.alpha == 1:
-                fh.write(f"{r.gamma:.12g}\n")
-            else:
-                fh.write(f"{r.gamma:.12g} {r.alpha}\n")
+        for gamma, alpha in zip(zeros.gammas().tolist(), zeros.alphas().tolist()):
+            fh.write(f"{gamma:.12g}\n" if alpha == 1 else f"{gamma:.12g} {alpha}\n")
 
 
-def read_zeros(path, chi_id: tuple[int, int] | None = None,
-               accuracy: float = 1e-9) -> ZeroList:
+def read_zeros(path, chi_id: tuple[int, int] | None = None) -> ZeroList:
     """Parse a zero file; `chi_id` (q, label) is checked when given."""
     header: dict[str, str] = {}
     header_line: dict[str, int] = {}
@@ -287,7 +282,7 @@ def read_zeros(path, chi_id: tuple[int, int] | None = None,
             if gamma <= 0:
                 raise ParseError(f"gamma must be positive, got {gamma}", lineno)
             last_gamma = gamma
-            records.append(ZeroRecord(gamma=gamma, alpha=alpha, accuracy=accuracy))
+            records.append((gamma, alpha))
 
     def field(key, kind):
         if key not in header:
@@ -308,7 +303,6 @@ def read_zeros(path, chi_id: tuple[int, int] | None = None,
     if chi_id is not None and (q, label) != tuple(chi_id):
         raise ModulusMismatch(
             f"file is for character {q}.{label}, expected {chi_id[0]}.{chi_id[1]}")
-    return ZeroList(chi_id=(q, label), records=tuple(records),
-                    height=height,
+    return ZeroList(chi_id=(q, label), records=records, height=height,
                     provenance=provenance,
                     symmetric=header.get("symmetric", "true").lower() != "false")

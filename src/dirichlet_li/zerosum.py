@@ -79,7 +79,7 @@ def li_zero_sum(n: int, zeros: ZeroList,
         raise ValueError("need n >= 1")
     w, u = _kernel(n, zeros, params.N if params is not None else None)
     N = len(u)
-    T = min(zeros.records[N - 1].gamma, zeros.height)
+    T = min(float(zeros.gammas()[N - 1]), zeros.height)
     q = zeros.chi_id[0]
     return LiResult(n=n, value=math.fsum(w * u), method="zero_sum",
                     error_bound=tail_bound(n, T, q),
@@ -180,7 +180,7 @@ def li_integral(n: int, zeros: ZeroList, quadrature_check: bool = False) -> LiRe
             raise ArithmeticError(
                 f"quadrature check failed: piecewise {exact_over_range} vs "
                 f"Simpson {approx}")
-    T = min(zeros.records[-1].gamma, zeros.height)
+    T = min(float(zeros.gammas()[-1]), zeros.height)
     return LiResult(n=n, value=math.fsum(pieces), method="integral",
                     error_bound=tail_bound(n, T, zeros.chi_id[0]),
                     params=PartialSumParams(N=len(zeros), T=T),
@@ -241,13 +241,13 @@ class PartialRHReport:
         if self.warning:
             return f"partial-RH report: {self.warning}"
         lines = [
-            f"zeros verified on the critical line up to T = {self.height:g} "
+            f"zeros on the critical line up to T = {self.height:g} by heuristic count "
             f"({self.record_count} ordinates, provenance: {self.provenance})",
             f"=> lambda_chi(n) >= 0 for all n <= T^2 = {self.n_max}",
         ]
         if self.record_count >= 10 ** 4:
             lines.append(
-                "at 10^4 verified zeros the same reasoning puts the first "
+                "at 10^4 zeros (heuristic count) the same reasoning puts the first "
                 "~10^8 Li coefficients on the nonnegative side")
         return "\n".join(lines)
 

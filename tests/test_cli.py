@@ -198,12 +198,24 @@ def test_li_malformed_zero_file(capsys, tmp_path):
     ("compare", "--q", "3", "--n", "1", "--nu", "0"),
     ("zeros", "--q", "3", "--tmax", "0.5"),
     ("zeros", "--q", "3", "--zeros-count", "-5"),
+    ("table", "--name", "mod3", "--zeros-count", "0"),
+    ("table", "--name", "mod3", "--zeros-count", "-5"),
 ])
 def test_numeric_flag_lower_bounds(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
     assert "must be a finite number >=" in capsys.readouterr().err
+
+
+def test_zeros_count_for_large_modulus(capsys, tmp_path):
+    # the smooth main term reaches one zero below T = 1 for this modulus
+    out_path = tmp_path / "z.txt"
+    code, out, _ = run(capsys, "zeros", "--q", "9151", "--zeros-count", "1",
+                       "--out", str(out_path))
+    assert code == 0
+    assert out.startswith("found ")
+    assert out_path.exists()
 
 
 # ----------------------------------------------------------------------------

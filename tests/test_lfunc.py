@@ -1,10 +1,13 @@
 """L-values, the completed function, the zero finder and zero-file I/O."""
 
 import math
+from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 
+from dirichlet_li import fastzeros
 from dirichlet_li.characters import (character_by_label, enumerate_characters,
                                      gauss_sum, real_primitive_character)
 from dirichlet_li.errors import (ComplexCharacterUnsupported, ModulusMismatch,
@@ -17,6 +20,7 @@ from dirichlet_li.lfunc import (ZeroList, ZeroRecord, completeness_tolerance,
 from dirichlet_li.precision import PrecisionConfig
 
 PREC = PrecisionConfig(working_bits=128)
+REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "data"
 
 
 # ----------------------------------------------------------------------------
@@ -145,6 +149,14 @@ def test_zero_counts_against_formula(T, zeros_q3):
     assert abs(count - n_formula(T, 3)) <= completeness_tolerance(T)
 
 
+@pytest.mark.parametrize("q", [9151, 100003])
+@pytest.mark.parametrize("count", [1, 2])
+def test_height_for_count_stays_at_one(q, count):
+    # a large modulus reaches a small count below T = 1, where the smooth
+    # main term is undefined; the height is clamped at 1
+    assert height_for_count(q, count) >= 1
+
+
 def test_zero_certificates(zeros_q3):
     # each of the first few reported ordinates is certified by a sign change
     # of the rotated function across [gamma - h, gamma + h]
@@ -205,6 +217,19 @@ def test_find_zeros_merged_counts():
     assert len({round(r.gamma, 6) for r in merged.records}) == len(merged)
 
 
+def test_find_zeros_merged_merges_coinciding_ordinates(monkeypatch):
+    found = {1: np.array([1.0, 2.0]), -1: np.array([2.0 + 1e-12, 3.0])}
+
+    def fake_find(chi, T_max, count_formula, tolerance, side=1):
+        return found[side], 0.1
+
+    monkeypatch.setattr(fastzeros, "find_zeros_fast", fake_find)
+    merged = find_zeros_merged(character_by_label(5, 1), 10.0)
+    assert merged.gammas().tolist() == [1.0, 2.0, 3.0]
+    assert merged.alphas().tolist() == [1, 2, 1]
+    assert not merged.symmetric
+
+
 # ----------------------------------------------------------------------------
 # zero files
 
@@ -229,6 +254,35 @@ def test_zero_file_asymmetric_round_trip(tmp_path):
     path = tmp_path / "zeros.txt"
     write_zeros(path, zl)
     assert not read_zeros(path).symmetric
+
+
+@pytest.mark.parametrize("name", ["3_1", "5_1", "20_6", "60_14"])
+def test_zero_file_rewrite_is_byte_identical(tmp_path, name):
+    source = REFERENCE_DIR / f"zeros_{name}.txt"
+    path = tmp_path / "zeros.txt"
+    write_zeros(path, read_zeros(source))
+    assert path.read_bytes() == source.read_bytes()
+
+
+def test_zero_file_multiplicities_round_trip(tmp_path):
+    records = (ZeroRecord(2.5), ZeroRecord(3.75, alpha=2), ZeroRecord(4.0, alpha=3))
+    zl = ZeroList(chi_id=(5, 1), records=records, height=5.0,
+                  provenance="imported", symmetric=False)
+    assert zl.alphas().tolist() == [1, 2, 3]
+    path = tmp_path / "zeros.txt"
+    write_zeros(path, zl)
+    assert path.read_text().splitlines()[-2:] == ["3.75 2", "4 3"]
+    back = read_zeros(path)
+    assert back.gammas().tolist() == [2.5, 3.75, 4.0]
+    assert back.alphas().tolist() == [1, 2, 3]
+    assert back.count_below(3.9) == 3
+
+
+def test_zero_list_columns_are_views():
+    zl = read_zeros(REFERENCE_DIR / "zeros_3_1.txt")
+    assert np.shares_memory(zl.gammas(), zl.records)
+    assert np.shares_memory(zl.alphas(), zl.records)
+    assert zl.gammas().dtype == np.float64 and zl.alphas().dtype == np.int64
 
 
 def test_zero_file_modulus_mismatch(tmp_path):

@@ -201,6 +201,16 @@ def test_partial_rh_report(zeros_q3):
     assert "nothing is implied" in str(rep_empty)
 
 
+def test_partial_rh_report_says_heuristic(zeros_q3):
+    # completeness is a counting-formula heuristic until Turing's method is in
+    # place, so the report must not call the zeros verified
+    for zl in (zeros_q3, ZeroList(chi_id=(3, 1), records=zeros_q3.records[:460],
+                                  height=100.0, provenance="imported")):
+        text = str(partial_rh_report(zl))
+        assert "heuristic" in text
+        assert "verified" not in text
+
+
 def test_asymptotic_model_values():
     gamma = float(mpmath.euler)
     # n = 1: the model reduces to c_chi
