@@ -17,7 +17,7 @@ from .errors import DirichletLiError
 from .lfunc import (ZeroList, ZeroRecord, find_zeros, find_zeros_merged,
                     find_zeros_upper, hardy_z, height_for_count, l_value,
                     n_formula, read_zeros, write_zeros, xi_value)
-from .precision import PrecisionConfig, default_precision
+from .precision import PrecisionConfig
 from .results import LiResult
 from .zerosum import (PartialSumParams, asymptotic_model, choose_T0,
                       li_integral, li_zero_sum, partial_rh_report, tail_bound,
@@ -29,9 +29,9 @@ __all__ = [
     "DirichletCharacter", "GaussSumValue", "LiResult", "PartialSumParams",
     "PrecisionConfig", "TruncationParams", "ZeroList", "ZeroRecord",
     "DirichletLiError", "asymptotic_model", "character_by_label", "choose_M",
-    "choose_T0", "default_precision", "enumerate_characters", "error_bound_EM",
-    "find_zeros", "find_zeros_merged", "find_zeros_upper", "gauss_sum",
-    "hardy_z", "height_for_count", "l_value", "li_arith", "li_arith_sweep",
+    "choose_T0", "enumerate_characters", "error_bound_EM", "find_zeros",
+    "find_zeros_merged", "find_zeros_upper", "gauss_sum", "hardy_z",
+    "height_for_count", "l_value", "li_arith", "li_arith_sweep",
     "li_integral", "li_zero_sum", "n_formula", "partial_rh_report",
     "prime_power_kernel_sum", "read_zeros", "real_primitive_character",
     "tail_bound", "tau_chi", "write_zeros", "xi_value", "zero_sum_prefix",

@@ -109,18 +109,6 @@ def _kernel_sum_fast(n, chi, M):
     return mpmath.mpc(kernel_sums([n], chi, [M])[0])
 
 
-def _chi_table(chi: DirichletCharacter) -> np.ndarray:
-    """chi(r) for r = 0..q-1: exactly 0 and +-1 in float64 for a real
-    character, exp(2 pi i e / order) in complex128 otherwise."""
-    e = np.array([-1 if x is None else x for x in chi.exponents])
-    if chi.is_real:
-        table = np.where(e == 0, 1.0, -1.0)
-    else:
-        table = np.exp(2j * np.pi * e / chi.order)
-    table[e < 0] = 0
-    return table
-
-
 def kernel_sums(ns, chi: DirichletCharacter, Ms) -> np.ndarray:
     """-sum over prime powers k = p^m <= M_i of (log p / k) chi(k) L^1_{n_i-1}(log k)
     for every pair (n_i, M_i), in float64, from one streamed sieve to max(Ms).
@@ -139,7 +127,7 @@ def kernel_sums(ns, chi: DirichletCharacter, Ms) -> np.ndarray:
         return np.zeros(0, dtype=complex)
     if min(ns) < 1 or min(Ms) < 2:
         raise ValueError("need n >= 1 and M >= 2")
-    table = _chi_table(chi)
+    table = chi.table
     at_degree: dict[int, list[int]] = {}
     for i, n in enumerate(ns):
         at_degree.setdefault(n - 1, []).append(i)

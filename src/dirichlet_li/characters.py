@@ -2,26 +2,31 @@
 
 Character values are stored exactly as exponents e with
 chi(k) = exp(2*pi*i*e/order), so multiplicativity and orthogonality hold
-exactly; conversion to big-float complex happens only at evaluation sites.
+exactly.  Each character has one float value table, `table`, which chi(k),
+the arithmetic kernel and the zero finder read; `value` is the big-float
+evaluator.
 
 The character group is built by CRT over the prime-power factors of q, with
 a primitive root generating each odd prime-power component and the
-<-1, 5> presentation for powers of two.  Characters are labeled by the
+<-1, 5> presentation for powers of two; its discrete logs are one integer
+array.  Characters are labeled by the
 lexicographic index of their exponent vector on those generators, so the
 principal character always has label 0.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import mpmath
+import numpy as np
 
 from .errors import (InvalidModulus, LabelOutOfRange, NoRealPrimitiveCharacter,
                      NotPrimitive)
-from .precision import PrecisionConfig, default_precision
+from .precision import PrecisionConfig
 
 
 # ----------------------------------------------------------------------------
@@ -111,59 +116,47 @@ def kronecker_symbol(d: int, n: int) -> int:
 # ----------------------------------------------------------------------------
 # character group structure
 
+def _component_generators(p: int, e: int) -> list[tuple[int, int]]:
+    """(generator, order) pairs whose powers multiply out to (Z/p^e Z)*: one
+    primitive root for odd p, <-1, 5> for 2^e with e >= 3, <-1> for 4."""
+    pe = p ** e
+    if p != 2:
+        return [(primitive_root(p, e), pe - pe // p)]
+    return [(pe - 1, 2), (5, pe // 4)][:min(e - 1, 2)]
+
+
 @lru_cache(maxsize=None)
 def _group_structure(q: int):
-    """Generators and discrete-log tables for (Z/qZ)*.
+    """Generators and discrete logs for (Z/qZ)*.
 
-    Returns (gen_orders, dlog) where dlog[k] is the exponent vector of the
-    unit k on the generators (None for non-units), and gen_orders lists the
-    generator orders in a fixed deterministic order.
+    Returns (gen_orders, dlog): gen_orders lists the generator orders in a
+    fixed deterministic order, and dlog is a read-only (q, r) int64 array
+    whose row k is the exponent vector of the unit k on the r generators
+    (-1 throughout for a non-unit).  Each CRT component p^e gets its table by
+    indexing the products of its generators' powers, and the components are
+    read off at k mod p^e.
     """
-    comps = factorize(q)
+    k = np.arange(q)
     gen_orders: list[int] = []
-    # per-component dlog tables: residue mod p^e -> tuple of exponents
-    comp_tables = []
-    comp_mods = []
-    for p, e in comps:
+    cols = [np.zeros((q, 0), dtype=np.int64)]
+    for p, e in factorize(q):
         pe = p ** e
-        if p == 2:
-            if e == 1:
-                comp_tables.append({1: ()})
-                comp_orders = []
-            elif e == 2:
-                comp_tables.append({1: (0,), 3: (1,)})
-                comp_orders = [2]
-            else:
-                half = pe // 4  # order of 5 mod 2^e
-                table = {}
-                v = 1
-                for j in range(half):
-                    table[v] = (0, j)
-                    table[(pe - v) % pe] = (1, j)
-                    v = (v * 5) % pe
-                comp_tables.append(table)
-                comp_orders = [2, half]
-        else:
-            g = primitive_root(p, e)
-            phi = pe - p ** (e - 1)
-            table = {}
-            v = 1
-            for j in range(phi):
-                table[v] = (j,)
-                v = (v * g) % pe
-            comp_tables.append(table)
-            comp_orders = [phi]
-        comp_mods.append(pe)
-        gen_orders.extend(comp_orders)
-    dlog: list[tuple[int, ...] | None] = [None] * q
-    for k in range(q):
-        if math.gcd(k, q) != 1:
-            continue
-        vec: list[int] = []
-        for pe, table in zip(comp_mods, comp_tables):
-            vec.extend(table[k % pe])
-        dlog[k] = tuple(vec)
-    return tuple(gen_orders), tuple(dlog)
+        gens = _component_generators(p, e)
+        orders = [s for _, s in gens]
+        elems = np.ones(1, dtype=np.int64)
+        for g, s in gens:
+            pows = [1]
+            for _ in range(s - 1):
+                pows.append(pows[-1] * g % pe)
+            elems = (elems[:, None] * np.array(pows, dtype=np.int64) % pe).ravel()
+        table = np.full((pe, len(gens)), -1, dtype=np.int64)
+        table[elems] = np.indices(orders).reshape(len(gens), elems.size).T
+        cols.append(table[k % pe])
+        gen_orders.extend(orders)
+    dlog = np.hstack(cols)
+    dlog[np.gcd(k, q) != 1] = -1
+    dlog.flags.writeable = False
+    return tuple(gen_orders), dlog
 
 
 @dataclass(frozen=True)
@@ -185,15 +178,35 @@ class DirichletCharacter:
     def is_primitive(self) -> bool:
         return self.conductor == self.modulus
 
+    @cached_property
+    def _e(self) -> np.ndarray:
+        """The exponents as an int64 array, -1 at non-units."""
+        return np.array([-1 if e is None else e for e in self.exponents], dtype=np.int64)
+
     @property
     def is_principal(self) -> bool:
-        return all(e is None or e == 0 for e in self.exponents)
+        return bool(np.all(self._e <= 0))
 
     @property
     def is_real(self) -> bool:
-        half = self.order // 2
-        return all(e is None or e == 0 or (self.order % 2 == 0 and e == half)
-                   for e in self.exponents)
+        e = self._e
+        return bool(np.all((e <= 0) | (2 * e == self.order)))
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """chi(k) for k = 0..q-1, read-only: exactly 0 and +-1 in float64 for a
+        real character, else complex128 with one mpmath root of unity per
+        exponent value, so quarter turns are exactly +-1 and +-i."""
+        e = self._e
+        if self.is_real:
+            table = np.where(e == 0, 1.0, -1.0)
+        else:
+            vals, idx = np.unique(e, return_inverse=True)
+            table = np.array([complex(mpmath.expjpi(2.0 * v / self.order))
+                              for v in vals.tolist()])[idx]
+        table[e < 0] = 0
+        table.flags.writeable = False
+        return table
 
     @property
     def is_even(self) -> bool:
@@ -213,7 +226,7 @@ class DirichletCharacter:
         e = self.exponents[k % self.modulus]
         if e is None:
             return mpmath.mpc(0)
-        prec = prec or default_precision()
+        prec = prec or PrecisionConfig()
         with prec.workprec():
             if e == 0:
                 return mpmath.mpc(1)
@@ -222,10 +235,7 @@ class DirichletCharacter:
             return mpmath.expjpi(mpmath.mpf(2 * e) / self.order)
 
     def __call__(self, k: int) -> complex:
-        e = self.exponents[k % self.modulus]
-        if e is None:
-            return 0j
-        return complex(mpmath.expjpi(2.0 * e / self.order))
+        return complex(self.table[k % self.modulus])
 
     def __repr__(self):
         kind = "principal" if self.is_principal else ("real" if self.is_real else "complex")
@@ -233,40 +243,19 @@ class DirichletCharacter:
                 f"conductor={self.conductor}, a={self.parity_a}, {kind})")
 
 
-def _conductor(q: int, exponents) -> int:
-    """Smallest f | q with chi trivial on units congruent to 1 mod f."""
-    divisors = sorted(d for d in range(1, q + 1) if q % d == 0)
-    for f in divisors:
-        ok = True
-        for k in range(1, q):
-            if k % f == 1 % f and math.gcd(k, q) == 1 and exponents[k] != 0:
-                ok = False
-                break
-        if ok:
-            return f
-    return q  # unreachable: f = q always works
-
-
 def _build_character(q: int, gen_orders, dlog, exp_vec, label) -> DirichletCharacter:
-    order = 1
-    for s in gen_orders:
-        order = order * s // math.gcd(order, s)
-    exponents: list[int | None] = [None] * q
-    for k in range(q):
-        vec = dlog[k]
-        if vec is None:
-            continue
-        e = 0
-        for c, t, s in zip(exp_vec, vec, gen_orders):
-            e = (e + c * t * (order // s)) % order
-        exponents[k] = e
-    if q <= 2:
-        parity_a = 0
-    else:
-        parity_a = 0 if exponents[q - 1] == 0 else 1
-    exponents_t = tuple(exponents)
-    cond = _conductor(q, exponents_t)
-    return DirichletCharacter(modulus=q, order=order, exponents=exponents_t,
+    order = math.lcm(*gen_orders)
+    # only q = 1 and 2 have no generators, and their one unit is q - 1
+    units = dlog[:, 0] >= 0 if gen_orders else np.arange(q) == q - 1
+    e = dlog @ np.array([c * (order // s) for c, s in zip(exp_vec, gen_orders)],
+                        dtype=np.int64) % order
+    parity_a = 0 if q <= 2 else int(e[q - 1] != 0)
+    # the conductor: the least f | q with chi trivial on the units = 1 mod f
+    nontrivial = units & (e != 0)
+    divisors = np.flatnonzero(q % np.arange(1, q + 1) == 0) + 1
+    cond = next(int(f) for f in divisors if not nontrivial[1 % f::f].any())
+    return DirichletCharacter(modulus=q, order=order,
+                              exponents=tuple(np.where(units, e, None).tolist()),
                               parity_a=parity_a, conductor=cond, label=label)
 
 
@@ -279,16 +268,8 @@ def enumerate_characters(q: int) -> list[DirichletCharacter]:
     if q < 1:
         raise InvalidModulus("modulus must be a positive integer")
     gen_orders, dlog = _group_structure(q)
-    chars = []
-    label = 0
-    # lexicographic product over exponent ranges
-    vecs = [()]
-    for s in gen_orders:
-        vecs = [v + (c,) for v in vecs for c in range(s)]
-    for vec in vecs:
-        chars.append(_build_character(q, gen_orders, dlog, vec, label))
-        label += 1
-    return chars
+    return [_build_character(q, gen_orders, dlog, vec, label)
+            for label, vec in enumerate(itertools.product(*map(range, gen_orders)))]
 
 
 def character_by_label(q: int, label: int) -> DirichletCharacter:
@@ -302,11 +283,8 @@ def character_by_label(q: int, label: int) -> DirichletCharacter:
     if not 0 <= label < count:
         raise LabelOutOfRange(f"label {label} out of range for modulus {q} "
                               f"({count} characters)")
-    vec, rest = [], label
-    for s in reversed(gen_orders):
-        rest, c = divmod(rest, s)
-        vec.insert(0, c)
-    return _build_character(q, gen_orders, dlog, tuple(vec), label)
+    vec = np.unravel_index(label, gen_orders)
+    return _build_character(q, gen_orders, dlog, [int(c) for c in vec], label)
 
 
 def real_primitive_character(q: int) -> DirichletCharacter:
@@ -327,9 +305,9 @@ def real_primitive_character(q: int) -> DirichletCharacter:
     # on a generator of order s is the exponent s/2 there.
     gen_orders, dlog = _group_structure(q)
     label = 0
-    for i, s in enumerate(gen_orders):
-        unit = tuple(int(j == i) for j in range(len(gen_orders)))
-        label = label * s + (0 if kronecker_symbol(d, dlog.index(unit)) == 1 else s // 2)
+    for unit, s in zip(np.eye(len(gen_orders), dtype=np.int64), gen_orders):
+        g = int(np.flatnonzero((dlog == unit).all(axis=1))[0])
+        label = label * s + (0 if kronecker_symbol(d, g) == 1 else s // 2)
     return character_by_label(q, label)
 
 
@@ -346,7 +324,7 @@ def gauss_sum(chi: DirichletCharacter, prec: PrecisionConfig | None = None) -> G
     if not chi.is_primitive:
         raise NotPrimitive(f"gauss_sum needs a primitive character, got conductor "
                            f"{chi.conductor} != modulus {chi.modulus}")
-    prec = prec or default_precision()
+    prec = prec or PrecisionConfig()
     q = chi.modulus
     with prec.workprec():
         tau = mpmath.mpc(0)

@@ -8,10 +8,12 @@ height.
 
 Each zero is refined by safeguarded Newton on Z, with Z' taken analytically
 from the same Dirichlet sum, inside the sign-change bracket the grid found;
-the returned ordinate is the midpoint of a verified sign-change bracket no
-wider than 1e-11.  float64 is ample here: the Euler-Maclaurin truncation and
-rounding noise sit near 1e-13, and the high-precision path in `lfunc`
-certifies sampled zeros independently.
+the returned ordinate is the midpoint of a float64 sign-change bracket no
+wider than 1e-11.  The Euler-Maclaurin truncation and rounding noise sit
+near 1e-13 at the tables' heights but grow with t: above t of about 3e4 each
+phase t log m carries about 6e-11 of absolute error and Z about 1e-11 of
+noise, so the sign of a bracket end is not certain there.  Tests compare
+sampled zeros with the mpmath `hardy_z` in `lfunc`; nothing certifies them.
 """
 
 from __future__ import annotations
@@ -60,11 +62,8 @@ class FastLEvaluator:
         self.chi = chi
         self.q = chi.modulus
         self.a = chi.parity_a
-        self.residues = np.array(
-            [k for k in range(1, self.q) if chi.exponents[k] is not None],
-            dtype=np.int64)
-        self.res_values = np.array(
-            [complex(chi(int(k))) for k in self.residues], dtype=np.complex128)
+        self.residues = np.flatnonzero(chi.table)
+        self.res_values = chi.table[self.residues]
         # root number phase; = 0 for real primitive characters (omega = 1)
         import mpmath
         from .characters import gauss_sum

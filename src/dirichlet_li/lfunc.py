@@ -19,7 +19,7 @@ from . import fastzeros
 from .characters import DirichletCharacter, gauss_sum
 from .errors import (ComplexCharacterUnsupported, ModulusMismatch, NotPrimitive,
                      ParseError, PrincipalCharacter)
-from .precision import PrecisionConfig, default_precision
+from .precision import PrecisionConfig
 from .specfun import hurwitz_zeta, hurwitz_zeta_minus_pole, log_gamma
 
 # ----------------------------------------------------------------------------
@@ -29,7 +29,7 @@ def l_value(s, chi: DirichletCharacter, prec: PrecisionConfig | None = None) -> 
     """L(s, chi) for non-principal chi, any s, via the Hurwitz decomposition."""
     if chi.is_principal:
         raise PrincipalCharacter("L(s, chi_0) has a pole; not supported")
-    prec = prec or default_precision()
+    prec = prec or PrecisionConfig()
     q = chi.modulus
     with prec.workprec(20):
         s = mpmath.mpc(s)
@@ -54,7 +54,7 @@ def xi_value(s, chi: DirichletCharacter, prec: PrecisionConfig | None = None) ->
         raise PrincipalCharacter("xi requires a non-principal character")
     if not chi.is_primitive:
         raise NotPrimitive("xi requires a primitive character")
-    prec = prec or default_precision()
+    prec = prec or PrecisionConfig()
     q = chi.modulus
     with prec.workprec(20):
         s = mpmath.mpc(s)
@@ -74,7 +74,7 @@ def hardy_z(t, chi: DirichletCharacter, prec: PrecisionConfig | None = None) -> 
     if not chi.is_real:
         raise ComplexCharacterUnsupported(
             "the rotation makes the completed function real only for chi = conj(chi)")
-    prec = prec or default_precision()
+    prec = prec or PrecisionConfig()
     with prec.workprec(20):
         omega = gauss_sum(chi, prec).root_number_omega
         rot = xi_value(mpmath.mpc(0.5, t), chi, prec) / mpmath.sqrt(omega)
@@ -300,9 +300,13 @@ def read_zeros(path, chi_id: tuple[int, int] | None = None) -> ZeroList:
     provenance = header.get("provenance", "imported")
     if provenance not in ("computed", "imported"):
         raise ParseError(f"bad provenance {provenance!r}", header_line["provenance"])
+    symmetric = header.get("symmetric", "true").lower()
+    if symmetric not in ("true", "false"):
+        raise ParseError(f"bad symmetric={header['symmetric']!r}: need true or false",
+                         header_line["symmetric"])
     if chi_id is not None and (q, label) != tuple(chi_id):
         raise ModulusMismatch(
             f"file is for character {q}.{label}, expected {chi_id[0]}.{chi_id[1]}")
     return ZeroList(chi_id=(q, label), records=records, height=height,
                     provenance=provenance,
-                    symmetric=header.get("symmetric", "true").lower() != "false")
+                    symmetric=symmetric == "true")

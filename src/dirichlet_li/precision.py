@@ -7,7 +7,6 @@ working precision, to which the evaluating routine adds its guard bits.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import mpmath
@@ -18,8 +17,6 @@ GUARD_BITS = 10
 
 # Default working precision of PrecisionConfig (arithmetic route, L / xi).
 ZERO_SUM_BITS = 96
-
-_ENV_BITS = "LI_PREC_BITS"
 
 
 @dataclass(frozen=True)
@@ -33,14 +30,6 @@ class PrecisionConfig:
     def workprec(self, extra: int = GUARD_BITS):
         """Context manager setting mpmath precision to working_bits + extra."""
         return mpmath.workprec(self.working_bits + extra)
-
-
-def default_precision(bits: int | None = None) -> PrecisionConfig:
-    """Default config; `bits` overrides, else the LI_PREC_BITS env var, else 96."""
-    if bits is None:
-        env = os.environ.get(_ENV_BITS)
-        bits = int(env) if env else ZERO_SUM_BITS
-    return PrecisionConfig(working_bits=bits)
 
 
 def arith_precision(n: int, q: int, M: int) -> PrecisionConfig:

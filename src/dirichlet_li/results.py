@@ -10,9 +10,10 @@ METHODS = ("arith", "zero_sum", "integral")
 
 @dataclass(frozen=True)
 class LiResult:
-    """A computed Li coefficient with its rigorous error bound.
+    """A computed Li coefficient with its truncation-error estimate.
 
-    `error_bound` may be +inf when the truncation bound formula is outside
+    `error_bound` is the route's estimate, not a certified bound (see the
+    README's "Bound caveats"), and may be +inf when the formula is outside
     its validity regime; `conditional` marks values that presuppose the
     Riemann hypothesis (zero-sum and integral methods).
     """

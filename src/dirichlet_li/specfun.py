@@ -16,7 +16,7 @@ from fractions import Fraction
 import mpmath
 
 from .errors import OutOfDomain, PoleAtOne
-from .precision import GUARD_BITS, PrecisionConfig, default_precision
+from .precision import GUARD_BITS, PrecisionConfig
 
 
 def bernoulli(n: int) -> Fraction:
@@ -31,7 +31,7 @@ def bernoulli(n: int) -> Fraction:
 
 def hurwitz_zeta(s, a, prec: PrecisionConfig | None = None) -> mpmath.mpc:
     """zeta(s, a) for a in (0, 1], s != 1."""
-    prec = prec or default_precision()
+    prec = prec or PrecisionConfig()
     with prec.workprec(GUARD_BITS + 10):
         s = mpmath.mpc(s)
         a = mpmath.mpf(a)
@@ -47,7 +47,7 @@ def hurwitz_zeta_minus_pole(a, prec: PrecisionConfig | None = None) -> mpmath.mp
 
     Needed where the simple pole cancels across a character sum.
     """
-    prec = prec or default_precision()
+    prec = prec or PrecisionConfig()
     with prec.workprec(GUARD_BITS + 10):
         a = mpmath.mpf(a)
         if not (0 < a <= 1):
@@ -66,7 +66,7 @@ def zeta_int(j: int, prec: PrecisionConfig | None = None) -> mpmath.mpf:
     precision by rounding it."""
     if j < 2:
         raise ValueError("need j >= 2")
-    prec = prec or default_precision()
+    prec = prec or PrecisionConfig()
     bits, val = _zeta_int_cache.get(j, (0, None))
     with prec.workprec():
         if bits >= prec.working_bits:
@@ -81,7 +81,7 @@ def zeta_int(j: int, prec: PrecisionConfig | None = None) -> mpmath.mpf:
 
 def lambert_w_m1(x, prec: PrecisionConfig | None = None) -> mpmath.mpf:
     """W_{-1}(x) for x in [-1/e, 0): the real branch with W <= -1."""
-    prec = prec or default_precision()
+    prec = prec or PrecisionConfig()
     with prec.workprec():
         x = mpmath.mpf(x)
         minus_inv_e = -mpmath.exp(-1)
@@ -107,7 +107,7 @@ def chebyshev_T(n: int, x, prec: PrecisionConfig | None = None) -> mpmath.mpf:
     """
     if n < 0:
         raise ValueError("need n >= 0")
-    prec = prec or default_precision()
+    prec = prec or PrecisionConfig()
     with prec.workprec(GUARD_BITS + 20 + max(1, n).bit_length()):
         x = mpmath.mpf(x)
         if abs(x) > 1:
@@ -124,7 +124,7 @@ def laguerre_L1(n_minus_1: int, x, prec: PrecisionConfig | None = None) -> mpmat
     """
     if n_minus_1 < 0:
         raise ValueError("degree must be >= 0")
-    prec = prec or default_precision()
+    prec = prec or PrecisionConfig()
     with prec.workprec():
         x = mpmath.mpf(x)
         if x < 0:
@@ -142,7 +142,7 @@ def laguerre_L1(n_minus_1: int, x, prec: PrecisionConfig | None = None) -> mpmat
 
 def log_gamma(z, prec: PrecisionConfig | None = None) -> mpmath.mpc:
     """Principal branch of log Gamma(z) away from the poles z = 0, -1, -2, ..."""
-    prec = prec or default_precision()
+    prec = prec or PrecisionConfig()
     with prec.workprec(GUARD_BITS + 10):
         z = mpmath.mpc(z)
         if mpmath.re(z) <= 0 and mpmath.im(z) == 0 and mpmath.re(z) == mpmath.floor(mpmath.re(z)):

@@ -166,20 +166,21 @@ def li_integral(n: int, zeros: ZeroList, quadrature_check: bool = False) -> LiRe
     u = 1 - T_n; the step function starts at the first zero and the last
     piece runs to x -> 1 where u -> 0.  The total telescopes (Abel
     summation) to the Chebyshev zero sum.  With quadrature_check=True each
-    smooth piece is also integrated by adaptive Simpson (tolerance 1e-8) and
-    compared with the pieces over [gamma_1, gamma_N].
+    smooth piece is also integrated by scipy's adaptive quadrature and the
+    total over [gamma_1, gamma_N] compared with the exact pieces to 1e-6.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     w, u = _kernel(n, zeros)
-    pieces = np.cumsum(w) * (u - np.append(u[1:], 0.0))
+    counts = np.cumsum(w)
+    pieces = counts * (u - np.append(u[1:], 0.0))
     if quadrature_check:
-        approx = _integral_quadrature(n, zeros)
+        approx = _integral_quadrature(n, zeros, counts.tolist())
         exact_over_range = math.fsum(pieces[:-1])
         if abs(approx - exact_over_range) > 1e-6:
             raise ArithmeticError(
                 f"quadrature check failed: piecewise {exact_over_range} vs "
-                f"Simpson {approx}")
+                f"quadrature {approx}")
     T = min(float(zeros.gammas()[-1]), zeros.height)
     return LiResult(n=n, value=math.fsum(pieces), method="integral",
                     error_bound=tail_bound(n, T, zeros.chi_id[0]),
@@ -187,46 +188,20 @@ def li_integral(n: int, zeros: ZeroList, quadrature_check: bool = False) -> LiRe
                     chi_id=zeros.chi_id, conditional=True)
 
 
-def _integrand(n: int, g: float, count: int, factor: int) -> float:
-    x = (4 * g * g - 1) / (4 * g * g + 1)
-    # U_{n-1}(cos t) = sin(nt)/sin(t)
-    t = math.acos(x)
-    u = n if t == 0 else math.sin(n * t) / math.sin(t)
-    return factor * 16 * n * g / (4 * g * g + 1) ** 2 * count * u
+def _integral_quadrature(n: int, zeros: ZeroList, counts: list[float]) -> float:
+    """scipy quad over [gamma_1, gamma_N], one call per smooth piece, where
+    the integrand holds the step count `counts[k]` (factor included)."""
+    from scipy.integrate import quad
 
+    def f(g, count):
+        # U_{n-1}(cos t) = sin(nt)/sin(t) at cos t = x(g)
+        t = math.acos((4 * g * g - 1) / (4 * g * g + 1))
+        u = n if t == 0 else math.sin(n * t) / math.sin(t)
+        return 16 * n * g / (4 * g * g + 1) ** 2 * count * u
 
-def _adaptive_simpson(f, a, b, tol=1e-8, max_depth=20):
-    def simpson(lo, hi, flo, fmid, fhi):
-        return (hi - lo) / 6 * (flo + 4 * fmid + fhi)
-
-    def recurse(lo, hi, flo, fmid, fhi, whole, depth):
-        mid = 0.5 * (lo + hi)
-        lmid, rmid = 0.5 * (lo + mid), 0.5 * (mid + hi)
-        fl, fr = f(lmid), f(rmid)
-        left = simpson(lo, mid, flo, fl, fmid)
-        right = simpson(mid, hi, fmid, fr, fhi)
-        if depth >= max_depth or abs(left + right - whole) < 15 * tol:
-            return left + right + (left + right - whole) / 15
-        return (recurse(lo, mid, flo, fl, fmid, left, depth + 1)
-                + recurse(mid, hi, fmid, fr, fhi, right, depth + 1))
-
-    fa, fb = f(a), f(b)
-    fm = f(0.5 * (a + b))
-    return recurse(a, b, fa, fm, fb, simpson(a, b, fa, fm, fb), 0)
-
-
-def _integral_quadrature(n: int, zeros: ZeroList) -> float:
-    """Adaptive Simpson over [gamma_1, gamma_N], piece by smooth piece."""
-    g = zeros.gammas()
-    alpha = zeros.alphas()
-    factor = 2 if zeros.symmetric else 1
-    total = 0.0
-    count = 0
-    for k in range(len(g) - 1):
-        count += int(alpha[k])
-        total += _adaptive_simpson(
-            lambda x, c=count: _integrand(n, x, c, factor), g[k], g[k + 1])
-    return total
+    g = zeros.gammas().tolist()
+    return math.fsum(quad(f, g[k], g[k + 1], args=(counts[k],))[0]
+                     for k in range(len(g) - 1))
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from dirichlet_li.characters import (character_by_label, enumerate_characters,
                                      kronecker_symbol, real_primitive_character)
 from dirichlet_li.errors import (InvalidModulus, LabelOutOfRange,
                                  NoRealPrimitiveCharacter, NotPrimitive)
+from dirichlet_li.precision import PrecisionConfig
 
 
 def euler_phi(q):
@@ -175,3 +177,40 @@ def test_character_by_label_matches_enumeration():
         character_by_label(5, -1)
     with pytest.raises(InvalidModulus):
         character_by_label(0, 0)
+
+
+def test_table_matches_call_and_big_float_value():
+    prec = PrecisionConfig(working_bits=128)
+    for q in range(1, 61):
+        for chi in enumerate_characters(q):
+            for k in range(q):
+                assert chi.table[k] == chi(k), (q, chi.label, k)
+                assert abs(chi.table[k] - complex(chi.value(k, prec))) <= 1e-15
+
+
+def test_table_exact_values():
+    for q in range(1, 61):
+        for chi in enumerate_characters(q):
+            if chi.is_real:
+                assert chi.table.dtype == np.float64
+                assert set(chi.table.tolist()) <= {-1.0, 0.0, 1.0}
+            else:
+                assert chi.table.dtype == np.complex128
+    chi = character_by_label(5, 1)
+    assert chi.table[2] == 1j and chi.table[3] == -1j and chi.table[4] == -1
+
+
+def test_table_is_read_only():
+    chi = character_by_label(5, 1)
+    with pytest.raises(ValueError):
+        chi.table[1] = 2
+
+
+def test_conductor_matches_definition():
+    # the least f | q such that chi(k) = 1 for every unit k = 1 mod f
+    for q in range(1, 201):
+        units = [k for k in range(q) if math.gcd(k, q) == 1]
+        for chi in enumerate_characters(q):
+            f = next(f for f in range(1, q + 1) if q % f == 0
+                     and all(chi.exponents[k] == 0 for k in units if k % f == 1 % f))
+            assert chi.conductor == f, (q, chi.label)

@@ -272,3 +272,12 @@ def test_table_insufficient_zeros(tmp_path, capsys):
                        "--zeros", str(path))
     assert code == 2
     assert "10^4" in err
+
+
+def test_li_bad_symmetric_header_exits_2(capsys, tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("# q=3 label=1 height=16\n# symmetric=no\n8.0\n")
+    code, _, err = run(capsys, "li", "--q", "3", "--label", "1", "--n", "1",
+                       "--method", "zeros", "--zeros", str(path))
+    assert code == 2
+    assert "line 2" in err

@@ -323,3 +323,14 @@ def test_zero_list_validation():
         ZeroRecord(gamma=-1.0)
     with pytest.raises(ValueError):
         ZeroRecord(gamma=1.0, alpha=0)
+
+
+@pytest.mark.parametrize("value", ["no", "yes", "0", ""])
+def test_zero_file_rejects_bad_symmetric_header(tmp_path, value):
+    path = tmp_path / "zeros.txt"
+    path.write_text(f"# q=3 label=1 height=16\n# symmetric={value}\n8.0\n")
+    with pytest.raises(ParseError, match="line 2: bad symmetric"):
+        read_zeros(path)
+    for ok, symmetric in (("TRUE", True), ("False", False)):
+        path.write_text(f"# q=3 label=1 height=16\n# symmetric={ok}\n8.0\n")
+        assert read_zeros(path).symmetric is symmetric
