@@ -3,8 +3,8 @@
 lambda_chi(n) = (n/2)(log(q/pi) - gamma) + tau_chi(n)
                 - sum_{k} (Lambda(k)/k) chi(k) L^1_{n-1}(log k),
 
-truncated at prime powers k <= M with the explicit truncation bound and the
-Lambert-W-derived choice of M.  The Laguerre-kernel form of the k-sum is the
+truncated at prime powers k <= M, with M from `choose_M` and the published
+truncation estimate (not a bound).  The Laguerre-kernel form of the k-sum is the
 production path: `kernel_sums` evaluates it in float64 for all requested n
 in one pass over a segmented sieve to the largest cutoff.  The raw
 alternating binomial double sum needs O(n) extra bits and is kept only as a
@@ -166,10 +166,9 @@ def error_bound_EM(n: int, M: int) -> float:
 
 
 def choose_M(n: int, nu: int) -> TruncationParams:
-    """Truncation cutoff with |E_M| <= 10^-nu.
-
-    The generic-branch M = 9 n 10^(2 nu) is the default (verified a
-    posteriori, incrementing past any M whose successor is prime); the
+    """Cutoff M = 9 n 10^(2 nu), raised until the published estimate
+    error_bound_EM(n, M) is below 10^-nu; that estimate does not bound |E_M|
+    (README, "Bound caveats"), so nu sets the cutoff, not the accuracy.  The
     W_{-1}-branch candidate (n/4) W_{-1}(-10^-nu / sqrt n)^2 + 4 n 10^(2 nu)
     is recorded for diagnostics when its argument is in the branch domain.
     """

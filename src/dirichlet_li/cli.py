@@ -78,11 +78,11 @@ def _zero_source(args, chi: DirichletCharacter, n_max: int) -> ZeroList:
     if args.zeros:
         return read_zeros(args.zeros, chi_id=(chi.modulus, chi.label))
     k = args.k
+    T_cap = height_for_count(chi.modulus, _MAX_ONTHEFLY_ZEROS)
     try:
         T = zerosum.choose_T0(max(n_max, 1), k, chi.modulus)
     except DirichletLiError:
-        T = height_for_count(chi.modulus, _MAX_ONTHEFLY_ZEROS)
-    T_cap = height_for_count(chi.modulus, _MAX_ONTHEFLY_ZEROS)
+        T = T_cap
     if T > T_cap:
         print(f"note: capping zero scan at T={T_cap:.0f} "
               f"(the 10^-{k} tail target wanted T={T:.0f}); "
@@ -151,89 +151,75 @@ def cmd_zeros(args) -> int:
     return 0
 
 
-def _li_rows(args, chi, ns, methods) -> tuple[list[dict], bool]:
-    prec = PrecisionConfig(working_bits=args.prec_bits) if args.prec_bits else None
-    zl = None
-    if "zeros" in methods and any(n > 0 for n in ns):
-        zl = _zero_source(args, chi, max(ns))
-    arith = {}
+def _li_rows(args, chi, ns, methods, zl=None, N=None):
+    """Rows keyed by CSV_COLUMNS for each n in ns by the requested methods
+    ("arith", "zeros"), the zero list summed (read or scanned here when zl is
+    None, before the sieve runs) and the seconds each route took.  The zero
+    sum runs over the first N ordinates (all when N is None) and its tail
+    bound is taken at T = min(gamma_N, height)."""
+    positive_ns = [n for n in ns if n > 0]
+    if "zeros" in methods and positive_ns and zl is None:
+        zl = _zero_source(args, chi, max(positive_ns))
+    rows = {n: dict.fromkeys(CSV_COLUMNS) | {"n": n} for n in ns}
+    if 0 in rows:
+        # empty power sum over zeros: lambda(0) = 0 identically
+        for m in methods:
+            rows[0][f"lambda_{m}"] = rows[0][f"bound_{m}"] = 0.0
+    seconds = {}
     if "arith" in methods:
-        positive_ns = [n for n in ns if n > 0]
-        arith = dict(zip(positive_ns, li_arith_sweep(positive_ns, chi, args.nu, prec)))
-    rows = []
-    all_finite = True
-    for n in ns:
-        row: dict = {"n": n}
-        if n == 0:
-            # empty power sum over zeros: lambda(0) = 0 identically
-            row.update(lambda_arith=0.0 if "arith" in methods else None,
-                       bound_arith=0.0 if "arith" in methods else None,
-                       lambda_zeros=0.0 if "zeros" in methods else None,
-                       bound_zeros=0.0 if "zeros" in methods else None,
-                       positive=True)
-            rows.append(row)
-            continue
-        pos = True
-        if "arith" in methods:
-            ra = arith[n]
-            row.update(lambda_arith=ra.value, bound_arith=ra.error_bound,
-                       M=ra.params.M)
-            pos = pos and ra.positive
-            all_finite = all_finite and math.isfinite(ra.error_bound)
-            if args.pair and ra.complex_character:
-                row["lambda_pair"] = 2 * ra.value
-        if "zeros" in methods:
-            rz = zerosum.li_zero_sum(n, zl)
-            row.update(lambda_zeros=rz.value, bound_zeros=rz.error_bound,
-                       N=rz.params.N, T=rz.params.T)
-            pos = pos and rz.positive
-            all_finite = all_finite and math.isfinite(rz.error_bound)
-        row["positive"] = pos
-        rows.append(row)
-    return rows, all_finite
+        prec = PrecisionConfig(working_bits=args.prec_bits) if args.prec_bits else None
+        t0 = time.perf_counter()
+        for n, r in zip(positive_ns, li_arith_sweep(positive_ns, chi, args.nu, prec)):
+            rows[n].update(lambda_arith=r.value, bound_arith=r.error_bound, M=r.params.M)
+        seconds["arith"] = time.perf_counter() - t0
+    if "zeros" in methods and positive_ns:
+        t0 = time.perf_counter()
+        values = zerosum.zero_sum_values(zl, positive_ns, N).tolist()
+        N = len(zl) if N is None else N
+        T = min(float(zl.gammas()[N - 1]), zl.height)
+        for n, v in zip(positive_ns, values):
+            rows[n].update(lambda_zeros=v, N=N, T=T,
+                           bound_zeros=zerosum.tail_bound(n, T, chi.modulus))
+        seconds["zeros"] = time.perf_counter() - t0
+    for row in rows.values():
+        row["positive"] = all(row[f"lambda_{m}"] >= 0 for m in methods)
+    return list(rows.values()), zl, seconds
 
 
 def cmd_li(args) -> int:
     chi = _select_character(args.q, args.label)
     methods = ("arith", "zeros") if args.method == "both" else (args.method,)
-    rows, all_finite = _li_rows(args, chi, args.n, methods)
-    if args.pair and any("lambda_pair" in r for r in rows):
+    rows, _, _ = _li_rows(args, chi, args.n, methods)
+    if args.pair and not chi.is_real:
         for r in rows:
-            if "lambda_pair" in r:
+            if r["M"] is not None:
                 print(f"# n={r['n']}: conjugate-paired sum "
-                      f"lambda_chi + lambda_chibar = {_fmt(r['lambda_pair'])}")
+                      f"lambda_chi + lambda_chibar = {_fmt(2 * r['lambda_arith'])}")
     _emit_rows(rows, args.format, args.out)
-    return 0 if all_finite else 1
+    bounds = [r[c] for r in rows for c in ("bound_arith", "bound_zeros")]
+    return 0 if all(math.isfinite(b) for b in bounds if b is not None) else 1
 
 
 def cmd_compare(args) -> int:
     chi = _select_character(args.q, args.label)
-    prec = PrecisionConfig(working_bits=args.prec_bits) if args.prec_bits else None
     ns = [n for n in args.n if n >= 1]
     if not ns:
         print("error: compare needs some n >= 1", file=sys.stderr)
         return 2
-    zl = _zero_source(args, chi, max(ns))
-    all_ok = True
-    t0 = time.perf_counter()
-    arith = dict(zip(ns, li_arith_sweep(ns, chi, args.nu, prec)))
-    t_arith = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    zsum = {n: zerosum.li_zero_sum(n, zl) for n in ns}
-    t_zeros = time.perf_counter() - t0
+    rows, zl, seconds = _li_rows(args, chi, ns, ("arith", "zeros"))
     print(f"character {chi.modulus}.{chi.label}; zero list of {len(zl)} "
           f"ordinates to T={zl.height:g}")
-    print(f"timing: arithmetic {t_arith:.2f}s, zero-sum {t_zeros:.2f}s")
+    print(f"timing: arithmetic {seconds['arith']:.2f}s, zero-sum {seconds['zeros']:.2f}s")
     print(f"{'n':>3}  {'arith':>16}  {'zero_sum':>16}  {'|delta|':>10}  "
           f"{'budget':>10}  verdict")
-    for n in ns:
-        ra, rz = arith[n], zsum[n]
-        delta = abs(ra.value - rz.value)
-        budget = ra.error_bound + rz.error_bound
+    all_ok = True
+    for r in rows:
+        delta = abs(r["lambda_arith"] - r["lambda_zeros"])
+        budget = r["bound_arith"] + r["bound_zeros"]
         ok = delta <= budget
         all_ok = all_ok and ok
-        print(f"{n:>3}  {ra.value:>16.9f}  {rz.value:>16.9f}  {delta:>10.3e}  "
-              f"{budget:>10.3e}  {'PASS' if ok else 'FAIL'}")
+        print(f"{r['n']:>3}  {r['lambda_arith']:>16.9f}  {r['lambda_zeros']:>16.9f}  "
+              f"{delta:>10.3e}  {budget:>10.3e}  {'PASS' if ok else 'FAIL'}")
     if not all_ok:
         print("note: the truncation estimates are the published closed forms; "
               "the arithmetic-side estimate is exceeded by the true remainder "
@@ -279,22 +265,13 @@ def cmd_table(args) -> int:
             f"table reproduction needs >= 10^4 zeros, got {len(zl)}")
     print(f"table {spec.name}: character {chi.modulus}.{chi.label}")
     print(f"assumption: {spec.assumption}")
-    ns = sorted(spec.rows)
-    params = zerosum.PartialSumParams(N=10 ** 4, T=min(
-        float(zl.gammas()[10 ** 4 - 1]), zl.height))
-    vals = zerosum.zero_sum_values(zl, ns, N=10 ** 4)
-    rows = []
-    worst = 0.0
+    rows, _, _ = _li_rows(args, chi, sorted(spec.rows), ("zeros",), zl, N=10 ** 4)
+    deltas = [abs(r["lambda_zeros"] - spec.rows[r["n"]][1]) for r in rows]
     print(f"{'n':>3}  {'published':>12}  {'computed':>12}  {'|delta|':>10}")
-    for n, v in zip(ns, vals):
-        ref = spec.rows[n][1]
-        delta = abs(v - ref)
-        worst = max(worst, delta)
-        print(f"{n:>3}  {ref:>12.6f}  {v:>12.6f}  {delta:>10.2e}")
-        rows.append({"n": n, "lambda_zeros": float(v),
-                     "bound_zeros": zerosum.tail_bound(n, params.T, chi.modulus),
-                     "N": params.N, "T": params.T, "positive": v >= 0})
-    print(f"largest deviation: {worst:.2e}")
+    for r, delta in zip(rows, deltas):
+        print(f"{r['n']:>3}  {spec.rows[r['n']][1]:>12.6f}  "
+              f"{r['lambda_zeros']:>12.6f}  {delta:>10.2e}")
+    print(f"largest deviation: {max(deltas):.2e}")
     out_csv = args.out or f"{spec.name}_table.csv"
     _emit_rows(rows, "csv" if args.format == "csv" else "none", out_csv)
     script_path = args.plot_script or f"{spec.name}_plot.py"
@@ -333,7 +310,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--n", type=_parse_n_range, required=True,
                         help="single n or range A..B")
         sp.add_argument("--nu", type=_at_least(int, 1), default=3,
-                        help="arithmetic truncation target 10^-nu")
+                        help="arithmetic cutoff M = 9 n 10^(2 nu); its printed "
+                             "estimate is not a bound")
         sp.add_argument("--k", type=_at_least(int, 0), default=3,
                         help="zero-sum tail target 10^-k")
         sp.add_argument("--prec-bits", type=_at_least(int, 64), default=None)

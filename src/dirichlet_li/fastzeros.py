@@ -64,11 +64,11 @@ class FastLEvaluator:
         self.a = chi.parity_a
         self.residues = np.flatnonzero(chi.table)
         self.res_values = chi.table[self.residues]
-        # root number phase; = 0 for real primitive characters (omega = 1)
-        import mpmath
-        from .characters import gauss_sum
-        self.omega_angle = float(mpmath.arg(gauss_sum(chi).root_number_omega)) \
-            if chi.is_primitive else 0.0
+        # root number phase arg(tau(chi) / i^a); omega = 1 for real primitive chi
+        self.omega_angle = 0.0
+        if chi.is_primitive and not chi.is_real:
+            tau = chi.table @ np.exp(2j * np.pi * np.arange(self.q) / self.q)
+            self.omega_angle = float(np.angle(tau / 1j ** self.a))
 
     # -- Euler-Maclaurin pieces ------------------------------------------------
 

@@ -120,8 +120,8 @@ class ZeroRecord(namedtuple("ZeroRecord", "gamma alpha")):
     __slots__ = ()
 
     def __new__(cls, gamma: float, alpha: int = 1):
-        if not gamma > 0:
-            raise ValueError(f"gamma must be positive, got {gamma}")
+        if not (gamma > 0 and math.isfinite(gamma)):
+            raise ValueError(f"gamma must be positive and finite, got {gamma}")
         if alpha < 1:
             raise ValueError("alpha must be >= 1")
         return super().__new__(cls, gamma, alpha)
@@ -145,8 +145,8 @@ class ZeroList:
         object.__setattr__(self, "records", records)
         if np.any(np.diff(records.gamma) <= 0):
             raise ValueError("zero ordinates must be strictly increasing")
-        if not np.all(records.gamma > 0):
-            raise ValueError("gamma must be positive")
+        if not np.all((records.gamma > 0) & np.isfinite(records.gamma)):
+            raise ValueError("gamma must be positive and finite")
         if np.any(records.alpha < 1):
             raise ValueError("alpha must be >= 1")
         if self.provenance not in ("computed", "imported"):

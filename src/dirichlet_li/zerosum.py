@@ -18,8 +18,8 @@ lists flagged symmetric=false (e.g. merged chi / conj(chi) spectra for a
 complex character) are summed without it.
 
 Also here: the closed-form tail bound with its Lambert-W height chooser, the
-step-function integral form (piecewise-exact from the same kernel, plus an
-adaptive-Simpson cross-check), the partial-RH positivity report, and the
+step-function integral form (piecewise-exact from the same kernel, plus a
+scipy-quadrature cross-check), the partial-RH positivity report, and the
 two-term asymptotic model (1/2) n log n + c_chi n.
 """
 
@@ -45,7 +45,6 @@ _T0_MAX_DOUBLINGS = 60
 class PartialSumParams:
     N: int
     T: float
-    k_exp: int | None = None  # target exponent when chosen via choose_T0
 
     def __post_init__(self):
         if self.N < 1:
@@ -83,8 +82,7 @@ def li_zero_sum(n: int, zeros: ZeroList,
     q = zeros.chi_id[0]
     return LiResult(n=n, value=math.fsum(w * u), method="zero_sum",
                     error_bound=tail_bound(n, T, q),
-                    params=PartialSumParams(N=N, T=T,
-                                            k_exp=params.k_exp if params else None),
+                    params=PartialSumParams(N=N, T=T),
                     chi_id=zeros.chi_id, conditional=True)
 
 

@@ -233,6 +233,24 @@ def test_compare_smoke(q3_zero_file, capsys):
         assert any("note:" in l for l in lines)
 
 
+def test_compare_columns_match_li_rows(q3_zero_file, capsys):
+    # compare reports the values `li --method both` writes, from the same rows
+    common = ("--q", "3", "--label", "1", "--n", "1..4", "--nu", "2",
+              "--zeros", q3_zero_file)
+    _, out, _ = run(capsys, "compare", *common)
+    reported = {}
+    for line in out.splitlines():
+        parts = line.split()
+        if parts and parts[-1] in ("PASS", "FAIL"):
+            reported[int(parts[0])] = (parts[1], parts[2])
+    code, out, _ = run(capsys, "li", *common, "--method", "both", "--format", "csv")
+    assert code == 0
+    rows = [dict(zip(CSV_COLUMNS, line.split(","))) for line in out.splitlines()[1:]]
+    assert {int(r["n"]): (f"{float(r['lambda_arith']):.9f}",
+                          f"{float(r['lambda_zeros']):.9f}") for r in rows} == reported
+    assert sorted(reported) == [1, 2, 3, 4]
+
+
 def test_compare_needs_positive_n(q3_zero_file, capsys):
     code, _, err = run(capsys, "compare", "--q", "3", "--n", "0",
                        "--zeros", q3_zero_file)
@@ -261,6 +279,17 @@ def test_table_mod3(q3_zero_file, tmp_path, capsys):
             assert abs(float(parts[3])) < 1e-3
 
 
+def test_table_csv_positive_column_reads_yes_or_no(q3_zero_file, tmp_path, capsys):
+    code, out, _ = run(capsys, "table", "--name", "mod3", "--zeros", q3_zero_file,
+                       "--out", str(tmp_path / "mod3.csv"),
+                       "--plot-script", str(tmp_path / "plot.py"), "--format", "csv")
+    assert code == 0
+    csv_lines = [l for l in out.splitlines() if l.count(",") == len(CSV_COLUMNS) - 1]
+    assert csv_lines[0] == ",".join(CSV_COLUMNS)
+    positive = {dict(zip(CSV_COLUMNS, l.split(",")))["positive"] for l in csv_lines[1:]}
+    assert positive and positive <= {"yes", "no"}
+
+
 def test_table_insufficient_zeros(tmp_path, capsys):
     from dirichlet_li.lfunc import ZeroList, ZeroRecord
     short = ZeroList(chi_id=(3, 1),
@@ -281,3 +310,14 @@ def test_li_bad_symmetric_header_exits_2(capsys, tmp_path):
                        "--method", "zeros", "--zeros", str(path))
     assert code == 2
     assert "line 2" in err
+
+
+def test_li_pair_prints_twice_the_arithmetic_value(capsys):
+    from dirichlet_li.arith import li_arith_sweep
+    code, out, _ = run(capsys, "li", "--q", "5", "--label", "1", "--method", "arith",
+                       "--nu", "1", "--n", "1..2", "--pair")
+    assert code == 0
+    values = [r.value for r in li_arith_sweep([1, 2], character_by_label(5, 1), 1)]
+    pair_lines = [l for l in out.splitlines() if l.startswith("#")]
+    assert pair_lines == [f"# n={n}: conjugate-paired sum lambda_chi + lambda_chibar = "
+                          f"{_fmt(2 * v)}" for n, v in zip((1, 2), values)]

@@ -112,3 +112,22 @@ def test_refinement_closes_where_float_spacing_exceeds_tol(monkeypatch):
     gammas = _newton(ev, brackets)
     assert gammas.size == 5
     assert len(passes) <= 8
+
+
+def test_root_number_angle_matches_big_float_gauss_sum():
+    # the float64 Gauss sum's angle against mpmath's, for every primitive
+    # character with q <= 100; exactly 0 for the real ones (omega = 1)
+    import mpmath
+
+    from dirichlet_li.characters import enumerate_characters, gauss_sum
+    for q in range(3, 101):
+        for chi in enumerate_characters(q):
+            if not chi.is_primitive:
+                continue
+            angle = FastLEvaluator(chi).omega_angle
+            if chi.is_real:
+                assert angle == 0.0
+                continue
+            ref = float(mpmath.arg(gauss_sum(chi).root_number_omega))
+            diff = (angle - ref + math.pi) % (2 * math.pi) - math.pi
+            assert abs(diff) <= 1e-14, (q, chi.label)

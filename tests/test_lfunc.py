@@ -325,6 +325,16 @@ def test_zero_list_validation():
         ZeroRecord(gamma=1.0, alpha=0)
 
 
+@pytest.mark.parametrize("gamma", [math.inf, math.nan])
+def test_zero_list_rejects_non_finite_ordinates(gamma):
+    from dirichlet_li.lfunc import ZERO_DTYPE
+    with pytest.raises(ValueError, match="finite"):
+        ZeroRecord(gamma=gamma)
+    raw = np.array([(8.0, 1), (gamma, 1)], dtype=ZERO_DTYPE)
+    with pytest.raises(ValueError, match="finite"):
+        ZeroList(chi_id=(3, 1), records=raw, height=10.0, provenance="computed")
+
+
 @pytest.mark.parametrize("value", ["no", "yes", "0", ""])
 def test_zero_file_rejects_bad_symmetric_header(tmp_path, value):
     path = tmp_path / "zeros.txt"
