@@ -4,9 +4,9 @@ lambda_chi(n) = (n/2)(log(q/pi) - gamma) + tau_chi(n)
                 - sum_{k} (Lambda(k)/k) chi(k) L^1_{n-1}(log k),
 
 truncated at prime powers k <= M, with M from `choose_M` and the published
-truncation estimate (not a bound).  The Laguerre-kernel form of the k-sum is the
-production path: `kernel_sums` evaluates it in float64 for all requested n
-in one pass over a segmented sieve to the largest cutoff.  The raw
+truncation estimate (not a bound).  The Laguerre-kernel form of the k-sum is
+the production path: `kernel_sums` evaluates it in float64 for all requested
+n in one pass over a segmented sieve to the largest cutoff.  The raw
 alternating binomial double sum needs O(n) extra bits and is kept only as a
 test oracle.
 """
