@@ -1,11 +1,11 @@
 """Li coefficients of primitive Dirichlet L-functions.
 
 Two independent evaluation routes for lambda_chi(n): the unconditional
-arithmetic prime-power formula with its explicit truncation bound, and the
-conditional (RH) Chebyshev sum over critical-line zeros with the closed-form
-tail bound.  Includes a character-group implementation, high-precision
-L / xi evaluation, a vectorized critical-line zero finder, zero-file I/O,
-and reproduction of published reference tables.
+arithmetic prime-power formula with its published truncation estimate, and
+the conditional (RH) Chebyshev sum over critical-line zeros with the
+closed-form tail estimate.  Includes a character-group implementation,
+high-precision L / xi evaluation, a vectorized critical-line zero finder,
+zero-file I/O, and reproduction of published reference tables.
 """
 
 from .arith import (TruncationParams, choose_M, error_bound_EM, li_arith,

@@ -116,7 +116,7 @@ def kernel_sums(ns, chi: DirichletCharacter, Ms) -> np.ndarray:
     Each block of `prime_power_segments` runs the upward Laguerre recurrence
     once, to degree max(ns) - 1, and at degree n_i - 1 adds the dot product
     of the weights chi(k) log p / k with it over the k <= M_i of the block.
-    The recurrence is stable, and the truncation bound 3 sqrt(n / M) stays
+    The recurrence is stable, and the truncation estimate 3 sqrt(n / M) stays
     orders of magnitude above the rounding of the sum.  Returns a complex128
     array (imaginary parts 0 for a real character).
     """
@@ -148,12 +148,12 @@ def kernel_sums(ns, chi: DirichletCharacter, Ms) -> np.ndarray:
 
 
 def error_bound_EM(n: int, M: int) -> float:
-    """Truncation bound for the prime-power sum cut at M:
+    """Published truncation estimate, not a bound, for the sum cut at M:
 
     sqrt(n/log M) (log M + 2)/sqrt(M)   if M+1 is prime,
     3 sqrt(n)/sqrt(M)                   otherwise.
 
-    Returns +inf below M = 16 (outside the bound's regime).
+    Returns +inf below M = 16 (outside the estimate's regime).
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -188,26 +188,24 @@ def choose_M(n: int, nu: int) -> TruncationParams:
     return TruncationParams(M=M, nu=nu, bound_case=case, candidate_prime_M=candidate)
 
 
-def li_arith(n: int, chi: DirichletCharacter, params: TruncationParams,
-             prec: PrecisionConfig | None = None) -> LiResult:
+def li_arith(n: int, chi: DirichletCharacter, params: TruncationParams) -> LiResult:
     """Unconditional lambda_chi(n) truncated at prime powers <= params.M.
 
     For complex chi the real part is returned with the complex_character
     flag set (the zero sum pairs rho with 1 - conj(rho), so lambda is
     1 - Re[(1 - 1/rho)^n] summed; Im cancels only jointly with conj(chi)).
     """
-    return _li_arith_many([n], chi, [params], prec)[0]
+    return _li_arith_many([n], chi, [params])[0]
 
 
-def li_arith_sweep(ns, chi: DirichletCharacter, nu: int,
-                   prec: PrecisionConfig | None = None) -> list[LiResult]:
+def li_arith_sweep(ns, chi: DirichletCharacter, nu: int) -> list[LiResult]:
     """`li_arith` for every n in ns, each truncated at choose_M(n, nu), from
     one streamed sieve to the largest cutoff (see `kernel_sums`)."""
     ns = list(ns)
-    return _li_arith_many(ns, chi, [choose_M(n, nu) for n in ns], prec)
+    return _li_arith_many(ns, chi, [choose_M(n, nu) for n in ns])
 
 
-def _li_arith_many(ns, chi, params, prec):
+def _li_arith_many(ns, chi, params):
     if not ns:
         return []
     if chi.conductor == 1:
@@ -221,7 +219,7 @@ def _li_arith_many(ns, chi, params, prec):
     # is computed once and merely rounded for the smaller n
     for i in sorted(range(len(ns)), key=lambda i: -ns[i]):
         n, M = ns[i], params[i].M
-        prec_n = prec or arith_precision(n, q, M)
+        prec_n = arith_precision(n, q, M)
         with prec_n.workprec(20):
             main = mpmath.mpf(n) / 2 * (mpmath.log(mpmath.mpf(q) / mpmath.pi) - mpmath.euler)
             tau = tau_chi(n, chi.parity_a, prec_n)

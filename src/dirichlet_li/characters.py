@@ -49,24 +49,14 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def _primitive_root_mod_p(p: int) -> int:
-    """Smallest primitive root mod an odd prime p."""
-    phi = p - 1
-    prime_divs = [f for f, _ in factorize(phi)]
-    g = 2
-    while True:
-        if all(pow(g, phi // f, p) != 1 for f in prime_divs):
-            return g
-        g += 1
-
-
 def primitive_root(p: int, e: int) -> int:
-    """Primitive root mod p^e for odd prime p."""
-    g = _primitive_root_mod_p(p)
-    if e == 1:
-        return g
+    """Primitive root mod p^e for odd prime p, from the smallest one mod p."""
+    prime_divs = [f for f, _ in factorize(p - 1)]
+    g = 2
+    while any(pow(g, (p - 1) // f, p) == 1 for f in prime_divs):
+        g += 1
     # g lifts to p^e iff g^(p-1) != 1 mod p^2; otherwise g+p does.
-    if pow(g, p - 1, p * p) == 1:
+    if e > 1 and pow(g, p - 1, p * p) == 1:
         g += p
     return g
 
@@ -216,10 +206,7 @@ class DirichletCharacter:
         """chi(k) as an integer in {-1, 0, 1}; requires a real character."""
         if not self.is_real:
             raise ValueError("character is not real")
-        e = self.exponents[k % self.modulus]
-        if e is None:
-            return 0
-        return 1 if e == 0 else -1
+        return int(self.table[k % self.modulus])
 
     def value(self, k: int, prec: PrecisionConfig | None = None) -> mpmath.mpc:
         """chi(k) as a big-float complex at the configured precision."""
@@ -228,10 +215,6 @@ class DirichletCharacter:
             return mpmath.mpc(0)
         prec = prec or PrecisionConfig()
         with prec.workprec():
-            if e == 0:
-                return mpmath.mpc(1)
-            if 2 * e == self.order:
-                return mpmath.mpc(-1)
             return mpmath.expjpi(mpmath.mpf(2 * e) / self.order)
 
     def __call__(self, k: int) -> complex:

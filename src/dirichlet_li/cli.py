@@ -4,8 +4,9 @@ by either method, cross-method comparison, and reference-table reproduction.
 Characters are addressed as q.label (`--q 3 --label 1`); with only --q the
 quadratic (real primitive) character is selected.  CSV output is fixed-width
 in columns n, lambda_arith, bound_arith, M, lambda_zeros, bound_zeros, N, T,
-positive with 12 significant digits.  Exit status is 0 only if every
-requested computation produced a finite error bound.
+positive with 12 significant digits.  Exit status: 1 from `li` when an error
+estimate is infinite and from `compare` on a FAIL verdict, 2 on a usage or
+input error, else 0 (always 0 for `characters`, `zeros` and `table`).
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .characters import (DirichletCharacter, character_by_label,
 from .errors import DirichletLiError, InsufficientZeros
 from .lfunc import (ZeroList, find_zeros_upper, height_for_count, n_formula,
                     read_zeros, write_zeros)
-from .precision import PrecisionConfig
 from .tables import TABLES
 
 CSV_COLUMNS = ("n", "lambda_arith", "bound_arith", "M",
@@ -167,9 +167,8 @@ def _li_rows(args, chi, ns, methods, zl=None, N=None):
             rows[0][f"lambda_{m}"] = rows[0][f"bound_{m}"] = 0.0
     seconds = {}
     if "arith" in methods:
-        prec = PrecisionConfig(working_bits=args.prec_bits) if args.prec_bits else None
         t0 = time.perf_counter()
-        for n, r in zip(positive_ns, li_arith_sweep(positive_ns, chi, args.nu, prec)):
+        for n, r in zip(positive_ns, li_arith_sweep(positive_ns, chi, args.nu)):
             rows[n].update(lambda_arith=r.value, bound_arith=r.error_bound, M=r.params.M)
         seconds["arith"] = time.perf_counter() - t0
     if "zeros" in methods and positive_ns:
@@ -299,8 +298,9 @@ def _build_parser() -> argparse.ArgumentParser:
     pz = sub.add_parser("zeros", help="compute critical-line zeros")
     pz.add_argument("--q", type=int, required=True)
     pz.add_argument("--label", type=int)
-    pz.add_argument("--tmax", type=_at_least(float, 1))
-    pz.add_argument("--zeros-count", type=_at_least(int, 1))
+    height = pz.add_mutually_exclusive_group()
+    height.add_argument("--tmax", type=_at_least(float, 1))
+    height.add_argument("--zeros-count", type=_at_least(int, 1))
     pz.add_argument("--out")
     pz.set_defaults(func=cmd_zeros)
 
@@ -314,7 +314,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "estimate is not a bound")
         sp.add_argument("--k", type=_at_least(int, 0), default=3,
                         help="zero-sum tail target 10^-k")
-        sp.add_argument("--prec-bits", type=_at_least(int, 64), default=None)
         sp.add_argument("--zeros", help="zero file (lfunc format)")
         sp.add_argument("--out")
 

@@ -9,17 +9,18 @@ height.
 Each zero is refined by safeguarded Newton on Z, with Z' taken analytically
 from the same Dirichlet sum, inside the sign-change bracket the grid found;
 the returned ordinate is the midpoint of a float64 sign-change bracket no
-wider than 1e-11.  The Euler-Maclaurin truncation and rounding noise sit
-near 1e-13 at the tables' heights but grow with t: above t of about 3e4 each
-phase t log m carries about 6e-11 of absolute error and Z about 1e-11 of
-noise, so the sign of a bracket end is not certain there.  Tests compare
+wider than 1e-11, or than two float64 spacings above t = 2^15 (about
+2.9e-11 at t = 6.6e4).  The Euler-Maclaurin truncation and rounding noise
+sit near 1e-13 at the tables' heights but grow with t: above t of about 3e4
+each phase t log m carries about 6e-11 of absolute error and Z about 1e-11
+of noise, so the sign of a bracket end is not certain there.  Tests compare
 sampled zeros with the mpmath `hardy_z` in `lfunc`; nothing certifies them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from fractions import Fraction
 
 import numpy as np
 from scipy.special import loggamma as _loggamma
@@ -32,18 +33,13 @@ from .specfun import bernoulli
 FINDER_VERSION = 2
 
 _R_MAX = 40
-_B_COEFF = None  # B_{2r}/(2r)! as float64, r = 1.._R_MAX
 
 
+@functools.cache
 def _bernoulli_coeffs() -> np.ndarray:
-    global _B_COEFF
-    if _B_COEFF is None:
-        vals = []
-        for r in range(1, _R_MAX + 1):
-            b = bernoulli(2 * r)
-            vals.append(b.numerator / Fraction(math.factorial(2 * r) * b.denominator))
-        _B_COEFF = np.array([float(v) for v in vals])
-    return _B_COEFF
+    """B_{2r}/(2r)! as float64, r = 1.._R_MAX."""
+    return np.array([float(bernoulli(2 * r) / math.factorial(2 * r))
+                     for r in range(1, _R_MAX + 1)])
 
 
 class FastLEvaluator:

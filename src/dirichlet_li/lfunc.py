@@ -2,8 +2,8 @@
 
 High-precision values go through the Hurwitz-zeta decomposition
 L(s, chi) = q^(-s) sum_a chi(a) zeta(s, a/q); zero scanning delegates to the
-vectorized double-precision engine in `fastzeros` (each located ordinate is
-the midpoint of a sign-change bracket no wider than 1e-11).
+vectorized double-precision engine in `fastzeros`, which also states the
+width of the sign-change bracket around each located ordinate.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import mpmath
 import numpy as np
+from scipy.special import lambertw
 
 from . import fastzeros
 from .characters import DirichletCharacter, gauss_sum
@@ -96,16 +97,9 @@ def n_formula(T: float, chi_or_q) -> float:
 
 
 def height_for_count(q: int, count: int) -> float:
-    """Height T at which the smooth counting main term reaches `count`."""
-    T = max(10.0, float(count))
-    for _ in range(200):
-        f = n_formula(T, q) - count
-        df = (math.log(T) + math.log(q) - math.log(2 * math.pi)) / (2 * math.pi)
-        T_new = max(T - f / df, 1.0)  # n_formula needs T >= 1
-        if abs(T_new - T) < 1e-9:
-            break
-        T = T_new
-    return T
+    """Height T where n_formula(T) = (T/2pi) log(qT/2pi e) reaches `count`:
+    T = 2pi count / W_0(q count/e), clamped to n_formula's domain T >= 1."""
+    return max(1.0, 2 * math.pi * count / lambertw(q * count / math.e).real)
 
 
 # ----------------------------------------------------------------------------
@@ -181,9 +175,9 @@ def find_zeros_upper(chi: DirichletCharacter, T_max: float) -> ZeroList:
     """Zeros with 0 < gamma <= T_max for any primitive non-principal chi,
     real or complex, by grid scanning of the rotated real function and
     lockstep safeguarded Newton refinement inside each sign-change bracket
-    until the bracket is no wider than 1e-11; the count is checked against
-    the smooth counting formula within +-(2 + log T_max) after at most one
-    4x grid refinement.
+    until it is no wider than 1e-11, or than two float64 spacings above
+    t = 2^15; the count is checked against the smooth counting formula
+    within +-(2 + log T_max) after at most one 4x grid refinement.
 
     For a complex character the zero set is not conjugate-symmetric and this
     one-sided list captures only the upper half plane; the returned list is

@@ -15,13 +15,13 @@ import mpmath
 # rounded result meets the 2^(-working_bits + GUARD_BITS) remainder contract.
 GUARD_BITS = 10
 
-# Default working precision of PrecisionConfig (arithmetic route, L / xi).
-ZERO_SUM_BITS = 96
+# Default working precision of PrecisionConfig (L / xi, chi.value, Gauss sums).
+DEFAULT_BITS = 96
 
 
 @dataclass(frozen=True)
 class PrecisionConfig:
-    working_bits: int = ZERO_SUM_BITS
+    working_bits: int = DEFAULT_BITS
 
     def __post_init__(self):
         if self.working_bits < 64:

@@ -17,9 +17,9 @@ conjugate-symmetric zero set (real chi, positive ordinates listed once);
 lists flagged symmetric=false (e.g. merged chi / conj(chi) spectra for a
 complex character) are summed without it.
 
-Also here: the closed-form tail bound with its Lambert-W height chooser, the
-step-function integral form (piecewise-exact from the same kernel, plus a
-scipy-quadrature cross-check), the partial-RH positivity report, and the
+Also here: the closed-form tail estimate with its Lambert-W height chooser,
+the step-function integral form (piecewise-exact from the same kernel, plus
+a scipy-quadrature cross-check), the partial-RH positivity report, and the
 two-term asymptotic model (1/2) n log n + c_chi n.
 """
 
@@ -71,8 +71,8 @@ def li_zero_sum(n: int, zeros: ZeroList,
                 params: PartialSumParams | None = None) -> LiResult:
     """lambda_chi(n, N) from the first N records of a zero list (RH assumed).
 
-    The truncation height is min(gamma_N, zeros.height): the bound must
-    reflect the ordinates actually summed.
+    The truncation height is min(gamma_N, zeros.height): the tail estimate
+    must reflect the ordinates actually summed.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -108,15 +108,14 @@ def _tail_closed_form(n: int, T: float, q: int) -> float:
 
 
 def tail_bound(n: int, T: float, q: int) -> float:
-    """Bound on lambda_chi(n) - lambda_chi(n, T), +inf when inapplicable.
+    """Estimate of lambda_chi(n) - lambda_chi(n, T), +inf when inapplicable.
 
     The closed form needs T >= max(n, 3); for small q its bracket also goes
     negative at moderate T (the two T-terms nearly cancel, q=3 needs
     T > ~7.6e3), which we likewise report as +inf rather than a meaningless
     nonpositive "bound".  Even where positive, the bracket can sit below the
-    zero-counting main term it is meant to majorize, so this bound is best
-    treated as an estimate, not a certificate; see the cross-method
-    comparison report.
+    zero-counting main term it is meant to majorize, so it is an estimate,
+    not a certificate; see the cross-method comparison report.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -132,9 +131,9 @@ def choose_T0(n: int, k_exp: int, q: int | None = None) -> float:
     """Smallest height with (log T)/T <= c = (4 pi / 9 n^2) 10^(-k), by the
     W_{-1} branch: T0 = -(1/c) W_{-1}(-c).
 
-    When q is given the closed-form tail bound is post-checked at T0 and the
-    height doubled until it is <= 3*10^(-k) (the chooser controls only the
-    dominant (log T)/T term; the slack absorbs the rest).
+    When q is given the closed-form tail estimate is post-checked at T0 and
+    the height doubled until it is <= 3*10^(-k) (the chooser controls only
+    the dominant (log T)/T term; the slack absorbs the rest).
     """
     if n < 1 or k_exp < 0:
         raise ValueError("need n >= 1 and k_exp >= 0")

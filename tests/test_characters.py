@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from dirichlet_li.characters import (character_by_label, enumerate_characters,
                                      gauss_sum, is_fundamental_discriminant,
-                                     kronecker_symbol, real_primitive_character)
+                                     kronecker_symbol, primitive_root,
+                                     real_primitive_character)
 from dirichlet_li.errors import (InvalidModulus, LabelOutOfRange,
                                  NoRealPrimitiveCharacter, NotPrimitive)
 from dirichlet_li.precision import PrecisionConfig
@@ -214,3 +215,32 @@ def test_conductor_matches_definition():
             f = next(f for f in range(1, q + 1) if q % f == 0
                      and all(chi.exponents[k] == 0 for k in units if k % f == 1 % f))
             assert chi.conductor == f, (q, chi.label)
+
+
+def test_primitive_root_generates():
+    for p in range(3, 500, 2):
+        if any(p % d == 0 for d in range(3, math.isqrt(p) + 1, 2)):
+            continue
+        least = next(g for g in range(2, p)
+                     if len({pow(g, j, p) for j in range(p - 1)}) == p - 1)
+        # the primes dividing phi(p^e) = p^(e-1) (p - 1)
+        primes = {p} | {f for f in range(2, p) if (p - 1) % f == 0
+                        and all(f % d for d in range(2, f))}
+        for e in (1, 2, 3):
+            pe, g = p ** e, primitive_root(p, e)
+            phi = pe - pe // p
+            # the multiplicative order of g: strip every prime it allows
+            order = phi
+            for f in primes:
+                while order % f == 0 and pow(g, order // f, pe) == 1:
+                    order //= f
+            assert order == phi, (p, e)
+            assert g % p == least, (p, e)
+
+
+def test_real_character_big_float_values_are_exact():
+    for q in range(1, 301):
+        for chi in enumerate_characters(q):
+            if chi.is_real:
+                for k in range(q):
+                    assert chi.value(k) == chi.real_value(k), (q, chi.label, k)

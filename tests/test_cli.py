@@ -78,6 +78,13 @@ def test_zeros_needs_height(capsys):
     assert "need --tmax or --zeros-count" in err
 
 
+def test_zeros_rejects_tmax_with_zeros_count(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["zeros", "--q", "3", "--tmax", "20", "--zeros-count", "5"])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------------------
 # li command
 
@@ -193,7 +200,6 @@ def test_li_malformed_zero_file(capsys, tmp_path):
 @pytest.mark.parametrize("argv", [
     ("li", "--q", "3", "--n", "1", "--method", "arith", "--nu", "0"),
     ("li", "--q", "3", "--n", "1", "--method", "arith", "--nu", "-1"),
-    ("li", "--q", "3", "--n", "1", "--method", "arith", "--prec-bits", "10"),
     ("li", "--q", "3", "--n", "1", "--method", "zeros", "--k", "-1"),
     ("compare", "--q", "3", "--n", "1", "--nu", "0"),
     ("zeros", "--q", "3", "--tmax", "0.5"),

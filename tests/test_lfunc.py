@@ -157,6 +157,18 @@ def test_height_for_count_stays_at_one(q, count):
     assert height_for_count(q, count) >= 1
 
 
+def test_height_for_count_is_exact_inverse():
+    checked = 0
+    for q in (3, 4, 5, 8, 20, 60, 97, 997, 9151, 100003):
+        for count in (2, 5, 10, 100, 500, 1500, 10 ** 4, 10 ** 5):
+            T = height_for_count(q, count)
+            if T > 1:
+                assert n_formula(T, q) == pytest.approx(count, rel=1e-12), (q, count)
+                checked += 1
+    assert checked > 70
+    assert height_for_count(9151, 1) == 1.0
+
+
 def test_zero_certificates(zeros_q3):
     # each of the first few reported ordinates is certified by a sign change
     # of the rotated function across [gamma - h, gamma + h]
