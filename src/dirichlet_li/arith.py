@@ -6,9 +6,10 @@ lambda_chi(n) = (n/2)(log(q/pi) - gamma) + tau_chi(n)
 truncated at prime powers k <= M, with M from `choose_M` and the published
 truncation estimate (not a bound).  The Laguerre-kernel form of the k-sum is
 the production path: `kernel_sums` evaluates it in float64 for all requested
-n in one pass over a segmented sieve to the largest cutoff.  The raw
-alternating binomial double sum needs O(n) extra bits and is kept only as a
-test oracle.
+n in one pass over a segmented sieve to the largest cutoff.
+`prime_power_kernel_sum` evaluates the same form in big floats at every M
+and is the reference the sweep is tested against.  The raw alternating
+binomial double sum needs O(n) extra bits and is kept only as a test oracle.
 """
 
 from __future__ import annotations
@@ -28,10 +29,6 @@ from .specfun import laguerre_L1, lambert_w_m1, zeta_int
 
 # Below this bound the |E_M| estimate is not in its stated regime.
 _BOUND_MIN_M = 16
-
-# `prime_power_kernel_sum` runs in big floats below this cutoff and takes
-# the float64 sweep from it on; `li_arith` always takes the sweep.
-_FAST_PATH_MIN_M = 100_000
 
 
 @dataclass(frozen=True)
@@ -78,17 +75,13 @@ def tau_chi(n: int, parity_a: int, prec: PrecisionConfig | None = None) -> mpmat
 
 def prime_power_kernel_sum(n: int, chi: DirichletCharacter, M: int,
                            prec: PrecisionConfig | None = None) -> mpmath.mpc:
-    """-sum over prime powers k = p^m <= M of (log p / k) chi(k) L^1_{n-1}(log k).
-
-    Cutoffs M >= 1e5 take the float64 sweep `kernel_sums`; smaller ones run
-    in big floats at `prec`, the reference the float64 sweep is tested against.
+    """-sum over prime powers k = p^m <= M of (log p / k) chi(k) L^1_{n-1}(log k)
+    in big floats at `prec`, at every M: the reference the float64 sweep
+    `kernel_sums` is tested against.
     """
     if n < 1 or M < 2:
         raise ValueError("need n >= 1 and M >= 2")
-    if M >= _FAST_PATH_MIN_M:
-        return _kernel_sum_fast(n, chi, M)
-    prec = prec or arith_precision(n, chi.modulus, M)
-    return _kernel_sum_mp(n, chi, M, prec)
+    return _kernel_sum_mp(n, chi, M, prec or arith_precision(n, chi.modulus, M))
 
 
 def _kernel_sum_mp(n, chi, M, prec):
@@ -106,6 +99,7 @@ def _kernel_sum_mp(n, chi, M, prec):
 
 
 def _kernel_sum_fast(n, chi, M):
+    """One n of `kernel_sums`, as a big-float complex beside `_kernel_sum_mp`."""
     return mpmath.mpc(kernel_sums([n], chi, [M])[0])
 
 

@@ -173,11 +173,11 @@ class DirichletCharacter:
         """The exponents as an int64 array, -1 at non-units."""
         return np.array([-1 if e is None else e for e in self.exponents], dtype=np.int64)
 
-    @property
+    @cached_property
     def is_principal(self) -> bool:
         return bool(np.all(self._e <= 0))
 
-    @property
+    @cached_property
     def is_real(self) -> bool:
         e = self._e
         return bool(np.all((e <= 0) | (2 * e == self.order)))

@@ -154,9 +154,9 @@ def cmd_zeros(args) -> int:
 def _li_rows(args, chi, ns, methods, zl=None, N=None):
     """Rows keyed by CSV_COLUMNS for each n in ns by the requested methods
     ("arith", "zeros"), the zero list summed (read or scanned here when zl is
-    None, before the sieve runs) and the seconds each route took.  The zero
-    sum runs over the first N ordinates (all when N is None) and its tail
-    bound is taken at T = min(gamma_N, height)."""
+    None, before the sieve runs) and the seconds each route took.  Each route
+    is one sweep of `LiResult`s, whose params fill the M, or N and T, columns;
+    the zero sum runs over the first N ordinates (all when N is None)."""
     positive_ns = [n for n in ns if n > 0]
     if "zeros" in methods and positive_ns and zl is None:
         zl = _zero_source(args, chi, max(positive_ns))
@@ -166,20 +166,15 @@ def _li_rows(args, chi, ns, methods, zl=None, N=None):
         for m in methods:
             rows[0][f"lambda_{m}"] = rows[0][f"bound_{m}"] = 0.0
     seconds = {}
-    if "arith" in methods:
+    for m in methods:
         t0 = time.perf_counter()
-        for n, r in zip(positive_ns, li_arith_sweep(positive_ns, chi, args.nu)):
-            rows[n].update(lambda_arith=r.value, bound_arith=r.error_bound, M=r.params.M)
-        seconds["arith"] = time.perf_counter() - t0
-    if "zeros" in methods and positive_ns:
-        t0 = time.perf_counter()
-        values = zerosum.zero_sum_values(zl, positive_ns, N).tolist()
-        N = len(zl) if N is None else N
-        T = min(float(zl.gammas()[N - 1]), zl.height)
-        for n, v in zip(positive_ns, values):
-            rows[n].update(lambda_zeros=v, N=N, T=T,
-                           bound_zeros=zerosum.tail_bound(n, T, chi.modulus))
-        seconds["zeros"] = time.perf_counter() - t0
+        if positive_ns:
+            sweep = (li_arith_sweep(positive_ns, chi, args.nu) if m == "arith"
+                     else zerosum.li_zero_sum_sweep(positive_ns, zl, N))
+            for r in sweep:
+                rows[r.n] |= {k: v for k, v in vars(r.params).items() if k in CSV_COLUMNS}
+                rows[r.n] |= {f"lambda_{m}": r.value, f"bound_{m}": r.error_bound}
+        seconds[m] = time.perf_counter() - t0
     for row in rows.values():
         row["positive"] = all(row[f"lambda_{m}"] >= 0 for m in methods)
     return list(rows.values()), zl, seconds

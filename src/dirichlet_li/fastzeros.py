@@ -33,6 +33,9 @@ from .specfun import bernoulli
 FINDER_VERSION = 2
 
 _R_MAX = 40
+_NEWTON_TOL = 1e-11    # closed bracket width, or two float64 spacings above it
+_NEWTON_ITMAX = 80     # lockstep refinement passes at most
+_RESCUE_DEPTH = 32     # sub-cells of a grid cell holding a minimum of |Z|
 
 
 @functools.cache
@@ -203,7 +206,7 @@ def _brackets_from_grid(t, z):
     return t[flips], t[right], z[flips], z[right]
 
 
-def _rescue_minima(ev, t, z, depth: int = 32):
+def _rescue_minima(ev, t, z):
     """Subdivide grid cells holding a local minimum of |Z| with no sign change;
     catches close zero pairs hiding inside one cell.  All candidates'
     sub-grids are evaluated in one call."""
@@ -215,29 +218,29 @@ def _rescue_minima(ev, t, z, depth: int = 32):
         (absz[mid] < absz[:-2]) & (absz[mid] <= absz[2:])
         & (absz[mid] < 0.25 * scale)
         & (sign[:-2] == sign[mid]) & (sign[mid] == sign[2:]))[0]
-    tt = np.linspace(t[cand - 1], t[cand + 1], depth + 1, axis=-1)
+    tt = np.linspace(t[cand - 1], t[cand + 1], _RESCUE_DEPTH + 1, axis=-1)
     zz = ev.z_values(tt.ravel()).reshape(tt.shape)
     return _brackets_from_grid(tt, zz)
 
 
-def _newton(ev, brackets, tol: float = 1e-11, itmax: int = 80):
+def _newton(ev, brackets):
     """Lockstep safeguarded Newton over all brackets at once.
 
     Every evaluation keeps the sign-change bracket [a, b]; a Newton step that
     leaves it falls back to the midpoint.  The first point of each bracket is
-    its secant point.  A bracket is closed once it is no wider than tol, or
-    than two float64 spacings where those exceed tol (above t = 2^15).  When
-    the Newton point would close it, the next point is taken a little past
-    the Newton point (tol/4, or one spacing), so that it lands beyond the root
-    and closes the bracket in one evaluation.  Returns the bracket midpoints.
+    its secant point.  A bracket is closed once it is no wider than
+    _NEWTON_TOL, or than two float64 spacings where those are wider (above
+    t = 2^15).  When the Newton point would close it, the next point is taken
+    a quarter of _NEWTON_TOL (or one spacing) past it, so that it lands beyond
+    the root and closes the bracket in one evaluation.  Returns the midpoints.
     """
     a, b, fa, fb = (np.array(x, dtype=np.float64) for x in brackets)
     # Z and Z' at the last point evaluated in each bracket (an endpoint)
     x = np.full(a.size, np.nan)
     fx = np.zeros(a.size)
     dfx = np.zeros(a.size)
-    for _ in range(itmax):
-        width = np.maximum(tol, 2 * np.spacing(np.abs(a)))
+    for _ in range(_NEWTON_ITMAX):
+        width = np.maximum(_NEWTON_TOL, 2 * np.spacing(np.abs(a)))
         active = np.nonzero(b - a > width)[0]
         if active.size == 0:
             break
@@ -247,7 +250,7 @@ def _newton(ev, brackets, tol: float = 1e-11, itmax: int = 80):
             fresh = np.isnan(xx)
             secant = bb - fb[active] * (bb - aa) / (fb[active] - fa[active])
         gap = bb - aa
-        past = np.maximum(0.25 * tol, np.spacing(np.abs(xx)))
+        past = np.maximum(0.25 * _NEWTON_TOL, np.spacing(np.abs(xx)))
         p = np.where(fresh, np.clip(secant, aa + 0.01 * gap, bb - 0.01 * gap),
                      np.where(np.abs(step) + past <= width[active],
                               xx + step + np.copysign(past, step), xx + step))

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import lambertw
 
 from . import fastzeros
-from .characters import DirichletCharacter, gauss_sum
+from .characters import DirichletCharacter
 from .errors import (ComplexCharacterUnsupported, ModulusMismatch, NotPrimitive,
                      ParseError, PrincipalCharacter)
 from .precision import PrecisionConfig
@@ -66,24 +66,22 @@ def xi_value(s, chi: DirichletCharacter, prec: PrecisionConfig | None = None) ->
 
 
 def hardy_z(t, chi: DirichletCharacter, prec: PrecisionConfig | None = None) -> mpmath.mpf:
-    """Z(t) = Re[omega^(-1/2) xi(1/2 + it, chi)], real for real primitive chi.
+    """Z(t) = xi(1/2 + it, chi) for real primitive chi, whose root number is
+    exactly 1 (Gauss: tau(chi) = sqrt(q) i^a), so no rotation is needed.
 
-    The imaginary part of the rotated value is asserted below
-    2^(-working_bits/2); zeros of Z on the real line are exactly the
-    critical-line zeros of L.
+    The imaginary part is asserted below 2^(-working_bits/2); zeros of Z on
+    the real line are exactly the critical-line zeros of L.
     """
     if not chi.is_real:
         raise ComplexCharacterUnsupported(
             "the rotation makes the completed function real only for chi = conj(chi)")
     prec = prec or PrecisionConfig()
     with prec.workprec(20):
-        omega = gauss_sum(chi, prec).root_number_omega
-        rot = xi_value(mpmath.mpc(0.5, t), chi, prec) / mpmath.sqrt(omega)
-        bound = mpmath.mpf(2) ** (-prec.working_bits // 2) * max(1, abs(rot))
-        if abs(mpmath.im(rot)) > bound:
-            raise ArithmeticError(
-                f"rotated completed value not real: Im = {mpmath.im(rot)}")
-        return +mpmath.re(rot)
+        xi = xi_value(mpmath.mpc(0.5, t), chi, prec)
+        bound = mpmath.mpf(2) ** (-prec.working_bits // 2) * max(1, abs(xi))
+        if abs(mpmath.im(xi)) > bound:
+            raise ArithmeticError(f"completed value not real: Im = {mpmath.im(xi)}")
+        return +mpmath.re(xi)
 
 
 def n_formula(T: float, chi_or_q) -> float:

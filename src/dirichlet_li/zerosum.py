@@ -67,27 +67,36 @@ def _kernel(n, zeros: ZeroList, N: int | None = None) -> tuple[np.ndarray, np.nd
     return factor * zeros.alphas()[:N], 2.0 * np.sin(np.multiply.outer(n, theta)) ** 2
 
 
+def _truncation(zeros: ZeroList, N: int | None = None) -> PartialSumParams:
+    """N (all records when None) and T = min(gamma_N, height), the height of
+    the ordinates actually summed, at which the tail estimate is taken."""
+    N = len(zeros) if N is None else N
+    return PartialSumParams(N=N, T=min(float(zeros.gammas()[N - 1]), zeros.height))
+
+
+def li_zero_sum_sweep(ns, zeros: ZeroList, N: int | None = None) -> list[LiResult]:
+    """lambda_chi(n, N) for every n in ns (RH assumed) from one
+    `zero_sum_values` call over the first N records, all when N is None."""
+    ns = list(ns)
+    values = zero_sum_values(zeros, ns, N).tolist()
+    params = _truncation(zeros, N)
+    return [LiResult(n=n, value=v, method="zero_sum",
+                     error_bound=tail_bound(n, params.T, zeros.chi_id[0]),
+                     params=params, chi_id=zeros.chi_id, conditional=True)
+            for n, v in zip(ns, values)]
+
+
 def li_zero_sum(n: int, zeros: ZeroList,
                 params: PartialSumParams | None = None) -> LiResult:
-    """lambda_chi(n, N) from the first N records of a zero list (RH assumed).
-
-    The truncation height is min(gamma_N, zeros.height): the tail estimate
-    must reflect the ordinates actually summed.
-    """
+    """`li_zero_sum_sweep` for the one n.  Only params.N is read: T is always
+    derived from the list."""
     if n < 1:
         raise ValueError("need n >= 1")
-    w, u = _kernel(n, zeros, params.N if params is not None else None)
-    N = len(u)
-    T = min(float(zeros.gammas()[N - 1]), zeros.height)
-    q = zeros.chi_id[0]
-    return LiResult(n=n, value=math.fsum(w * u), method="zero_sum",
-                    error_bound=tail_bound(n, T, q),
-                    params=PartialSumParams(N=N, T=T),
-                    chi_id=zeros.chi_id, conditional=True)
+    return li_zero_sum_sweep([n], zeros, params.N if params is not None else None)[0]
 
 
 def zero_sum_values(zeros: ZeroList, ns, N: int | None = None) -> np.ndarray:
-    """lambda_chi(n, N) for each n of a sequence, as li_zero_sum computes it."""
+    """lambda_chi(n, N) for each n of a sequence, the one vectorized zero sum."""
     w, u = _kernel(np.asarray(ns), zeros, N)
     return np.array([math.fsum(w * row) for row in u])
 
@@ -178,11 +187,10 @@ def li_integral(n: int, zeros: ZeroList, quadrature_check: bool = False) -> LiRe
             raise ArithmeticError(
                 f"quadrature check failed: piecewise {exact_over_range} vs "
                 f"quadrature {approx}")
-    T = min(float(zeros.gammas()[-1]), zeros.height)
+    params = _truncation(zeros)
     return LiResult(n=n, value=math.fsum(pieces), method="integral",
-                    error_bound=tail_bound(n, T, zeros.chi_id[0]),
-                    params=PartialSumParams(N=len(zeros), T=T),
-                    chi_id=zeros.chi_id, conditional=True)
+                    error_bound=tail_bound(n, params.T, zeros.chi_id[0]),
+                    params=params, chi_id=zeros.chi_id, conditional=True)
 
 
 def _integral_quadrature(n: int, zeros: ZeroList, counts: list[float]) -> float:

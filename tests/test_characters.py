@@ -133,6 +133,17 @@ def test_gauss_sum_modulus_mod5():
             assert abs(abs(gs.root_number_omega) - 1) < 1e-25
 
 
+def test_root_number_of_real_primitive_character_is_one():
+    # Gauss: tau(chi) = sqrt(q) i^a for real primitive chi, so omega = 1 and
+    # hardy_z needs no rotation
+    for q in range(3, 301):
+        for chi in enumerate_characters(q):
+            if chi.is_real and chi.is_primitive:
+                omega = gauss_sum(chi).root_number_omega
+                with mpmath.workprec(110):
+                    assert abs(omega - 1) < 1e-25, (q, chi.label)
+
+
 def test_gauss_sum_rejects_imprimitive():
     chi0 = enumerate_characters(9)[0]
     with pytest.raises(NotPrimitive):

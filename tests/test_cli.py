@@ -154,6 +154,22 @@ def test_li_csv_deterministic(q3_zero_file, capsys):
     assert out1 == out2
 
 
+def test_li_zero_sum_columns_come_from_the_sweep(q3_zero_file, capsys):
+    from dirichlet_li.lfunc import read_zeros
+    from dirichlet_li.zerosum import li_zero_sum_sweep
+    code, out, _ = run(capsys, "li", "--q", "3", "--n", "1..6",
+                       "--method", "zeros", "--zeros", q3_zero_file,
+                       "--format", "csv")
+    assert code == 0
+    swept = li_zero_sum_sweep(range(1, 7), read_zeros(q3_zero_file, chi_id=(3, 1)))
+    for line, r in zip(out.strip().splitlines()[1:], swept, strict=True):
+        fields = dict(zip(CSV_COLUMNS, line.split(",")))
+        assert fields["N"] == _fmt(r.params.N)
+        assert fields["T"] == _fmt(r.params.T)
+        assert fields["bound_zeros"] == _fmt(r.error_bound)
+        assert fields["lambda_zeros"] == _fmt(r.value)
+
+
 def test_li_csv_round_trip(q3_zero_file, capsys):
     # re-parsing the CSV at 12 significant digits reproduces the fields
     code, out, _ = run(capsys, "li", "--q", "3", "--n", "1..4",

@@ -59,6 +59,16 @@ def test_prefix_monotone(zeros_q3):
         assert prefix[-1] == pytest.approx(full.value, rel=1e-9)
 
 
+def test_li_zero_sum_is_one_element_sweep(zeros_q3):
+    from dirichlet_li.zerosum import li_zero_sum_sweep
+    swept = li_zero_sum_sweep([3, 1, 2], zeros_q3, N=500)
+    assert [r.n for r in swept] == [3, 1, 2]
+    for r in swept:
+        # only params.N is read; T is derived from the list
+        assert r == li_zero_sum(r.n, zeros_q3, PartialSumParams(N=500, T=1.0))
+        assert r.params.T == min(float(zeros_q3.gammas()[499]), zeros_q3.height)
+
+
 def test_zero_sum_values_matches_big_float(zeros_q3):
     ns = [1, 2, 3, 10, 36]
     vals = zero_sum_values(zeros_q3, ns)
