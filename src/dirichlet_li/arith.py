@@ -98,11 +98,6 @@ def _kernel_sum_mp(n, chi, M, prec):
         return +(-total)
 
 
-def _kernel_sum_fast(n, chi, M):
-    """One n of `kernel_sums`, as a big-float complex beside `_kernel_sum_mp`."""
-    return mpmath.mpc(kernel_sums([n], chi, [M])[0])
-
-
 def kernel_sums(ns, chi: DirichletCharacter, Ms) -> np.ndarray:
     """-sum over prime powers k = p^m <= M_i of (log p / k) chi(k) L^1_{n_i-1}(log k)
     for every pair (n_i, M_i), in float64, from one streamed sieve to max(Ms).

@@ -215,7 +215,16 @@ class DirichletCharacter:
             return mpmath.mpc(0)
         prec = prec or PrecisionConfig()
         with prec.workprec():
-            return mpmath.expjpi(mpmath.mpf(2 * e) / self.order)
+            key = (e, mpmath.mp.prec)
+            if key not in self._roots:
+                self._roots[key] = mpmath.expjpi(mpmath.mpf(2 * e) / self.order)
+            return self._roots[key]
+
+    @cached_property
+    def _roots(self) -> dict:
+        """`value`'s big-float roots of unity by (exponent, working precision):
+        at most `order` per precision."""
+        return {}
 
     def __call__(self, k: int) -> complex:
         return complex(self.table[k % self.modulus])

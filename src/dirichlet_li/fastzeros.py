@@ -6,15 +6,22 @@ per-class Bernoulli tails), forms the phase-rotated real function whose sign
 changes are the critical-line zeros, and locates all zeros up to a target
 height.
 
-Each zero is refined by safeguarded Newton on Z, with Z' taken analytically
-from the same Dirichlet sum, inside the sign-change bracket the grid found;
-the returned ordinate is the midpoint of a float64 sign-change bracket no
-wider than 1e-11, or than two float64 spacings above t = 2^15 (about
-2.9e-11 at t = 6.6e4).  The Euler-Maclaurin truncation and rounding noise
-sit near 1e-13 at the tables' heights but grow with t: above t of about 3e4
-each phase t log m carries about 6e-11 of absolute error and Z about 1e-11
-of noise, so the sign of a bracket end is not certain there.  Tests compare
-sampled zeros with the mpmath `hardy_z` in `lfunc`; nothing certifies them.
+Each zero is refined by safeguarded Newton on Z inside the sign-change
+bracket the grid found.  The leading Dirichlet sum is entire, so it is
+expanded once around each bracket's centre, to radius half the widest
+bracket (at most half a grid step h, with h log(q t_max) <= pi) and to the
+smallest order K with (radius log m_max)^K / K! <= 2^-64, about 20 at the
+tables' heights; every Newton step reads S and S' from that expansion by
+Horner, adds the Euler-Maclaurin tail evaluated directly at the step's
+height, and rotates by theta.  The returned ordinate is the midpoint of a
+float64 sign-change bracket no wider than 1e-11, or than two float64
+spacings above t = 2^15 (about 2.9e-11 at t = 6.6e4).  The Euler-Maclaurin
+truncation sits near 1e-13, but rounding grows with t: each phase t log m
+carries about one ulp of absolute error, and the expansion and the direct
+sum, which round their phases at different heights, differ in Z by up to
+2e-12 at t = 1500 and 2e-11 at t = 8600, so the sign of a bracket end is not
+certain where |Z| is that small.  Tests compare sampled zeros with the
+mpmath `hardy_z` in `lfunc`; nothing certifies them.
 """
 
 from __future__ import annotations
@@ -30,12 +37,13 @@ from .specfun import bernoulli
 
 # Bumped whenever a change to the finder can move the ordinates it returns;
 # caches of computed zero lists are keyed on it.
-FINDER_VERSION = 2
+FINDER_VERSION = 3
 
 _R_MAX = 40
 _NEWTON_TOL = 1e-11    # closed bracket width, or two float64 spacings above it
 _NEWTON_ITMAX = 80     # lockstep refinement passes at most
 _RESCUE_DEPTH = 32     # sub-cells of a grid cell holding a minimum of |Z|
+_CHUNK = 512           # heights per phase matrix
 
 
 @functools.cache
@@ -129,40 +137,82 @@ class FastLEvaluator:
         return (0.5 * t * math.log(self.q / math.pi)
                 + np.imag(_loggamma(z)) - 0.5 * self.omega_angle)
 
-    def z_and_derivative(self, t: np.ndarray):
-        """Z(t) and Z'(t) for an arbitrary array of heights.
+    def _rotated(self, t, S, dS, N: int):
+        """Z and Z' at t from the leading sum S and its t-derivative dS of
+        length phi(q)*N: adds the Euler-Maclaurin tail at the same N and
+        rotates by theta(t).  Z' = Re[e^(i theta) (i theta' L + L')] =
+        Re[e^(i theta) L'], because i theta' e^(i theta) L = i theta' Z is
+        imaginary."""
+        tail, dtail = self._tail_sum(t, N)
+        rot = np.exp(1j * self.theta(t))
+        return np.real(rot * (S + tail)), np.real(rot * (dS + dtail))
 
-        Both come from one phase matrix: the real cos and sin of t log m times
-        one real (M, 4) matrix holding chi(m) m^(-1/2) and its t-derivative
-        factor -i log m chi(m) m^(-1/2), which gives L and L' together.
-        Z' = Re[e^(i theta) (i theta' L + L')] = Re[e^(i theta) L'], because
-        i theta' e^(i theta) L = i theta' Z is imaginary.
-        """
+    def z_and_derivative(self, t: np.ndarray):
+        """Z(t) and Z'(t) for an arbitrary array of heights, from the leading
+        sums of chi(m) m^(-1/2) and of its t-derivative factor
+        -i log m chi(m) m^(-1/2), which give L and L' together."""
         t = np.asarray(t, dtype=np.float64)
         z = np.empty(t.shape)
         dz = np.empty(t.shape)
         order = np.argsort(t)
-        chunk = 512
-        for start in range(0, t.size, chunk):
-            idx = order[start:start + chunk]
+        for start in range(0, t.size, _CHUNK):
+            idx = order[start:start + _CHUNK]
             tc = t[idx]
             N = self._em_n(float(np.max(np.abs(tc), initial=0.0)))
             logm, amp = self._flat_coeffs(N)
-            damp = -1j * logm * amp
-            coef = np.stack([amp.real, amp.imag, damp.real, damp.imag], axis=1)
-            # sum_m c_m e^(-i t log m) = (cos @ c) - i (sin @ c), split into
-            # real and imaginary parts of c
-            ph = np.outer(tc, logm)
-            pc = np.cos(ph) @ coef
-            ps = np.sin(ph, out=ph) @ coef
-            L = pc[:, 0] + ps[:, 1] + 1j * (pc[:, 1] - ps[:, 0])
-            dL = pc[:, 2] + ps[:, 3] + 1j * (pc[:, 3] - ps[:, 2])
-            tail, dtail = self._tail_sum(tc, N)
-            L += tail
-            dL += dtail
-            rot = np.exp(1j * self.theta(tc))
-            z[idx] = np.real(rot * L)
-            dz[idx] = np.real(rot * dL)
+            S = _dirichlet_sums(tc, logm, np.stack([amp, -1j * logm * amp], axis=1))
+            z[idx], dz[idx] = self._rotated(tc, S[:, 0], S[:, 1], N)
+        return z, dz
+
+    def leading_sum_taylor(self, centres: np.ndarray, radius: float):
+        """Taylor coefficients of the leading sum S around each centre.
+
+        S(t) = sum_m chi(m) m^(-1/2) e^(-i t log m) is entire, so
+        S(c + d) = sum_k coef[k] d^k with coef[k] = sum_m e^(-i c log m)
+        chi(m) m^(-1/2) (-i log m)^k / k!.  For each sorted chunk of centres
+        one phase matrix cos/sin(c log m) times one real (M, 2K) matrix of
+        those weights gives every coefficient in one product.  N is the
+        chunk's Euler-Maclaurin length at max |c| + radius, and K the smallest
+        order with (radius log m_max)^K / K! <= 2^-64 at the largest N, so for
+        |d| <= radius the dropped orders are below 2^-64 sum |chi(m)| m^(-1/2).
+        Returns the (n, K) complex coefficients and each centre's N.
+        """
+        c = np.asarray(centres, dtype=np.float64)
+        n_max = self._em_n(float(np.max(np.abs(c), initial=0.0)) + radius)
+        x = radius * math.log(self.q * n_max)
+        K, term = 1, x
+        while term > 2.0 ** -64:
+            K += 1
+            term *= x / K
+        # the flattened sum of length phi(q)*N is a prefix of the longest one
+        logm, amp = self._flat_coeffs(n_max)
+        w = np.cumprod(np.hstack([amp[:, None], -1j * logm[:, None] / np.arange(1, K)]),
+                       axis=1)
+        coef = np.empty((c.size, K), dtype=np.complex128)
+        Ns = np.empty(c.size, dtype=np.int64)
+        order = np.argsort(c)
+        for start in range(0, c.size, _CHUNK):
+            idx = order[start:start + _CHUNK]
+            Ns[idx] = N = self._em_n(float(np.max(np.abs(c[idx]))) + radius)
+            M = self.residues.size * N
+            coef[idx] = _dirichlet_sums(c[idx], logm[:M], w[:M])
+        return coef, Ns
+
+    def z_from_taylor(self, t, centres, coef, N):
+        """Z and Z' at each t from the expansion (coef, N) of
+        `leading_sum_taylor` around its own centre: S and S' by Horner in
+        d = t - c, then the directly evaluated tail at the same N."""
+        d = t - centres
+        S = coef[:, -1]
+        dS = np.zeros_like(S)
+        for k in range(coef.shape[1] - 2, -1, -1):
+            dS = dS * d + S
+            S = S * d + coef[:, k]
+        z = np.empty(t.shape)
+        dz = np.empty(t.shape)
+        for n in np.unique(N):
+            i = np.flatnonzero(N == n)
+            z[i], dz[i] = self._rotated(t[i], S[i], dS[i], int(n))
         return z, dz
 
     def z_values(self, t: np.ndarray) -> np.ndarray:
@@ -192,6 +242,17 @@ class FastLEvaluator:
             out[j0:j0 + nb] = np.real(L) * np.cos(th) - np.imag(L) * np.sin(th)
             j0 += nb
         return out
+
+
+def _dirichlet_sums(t, logm, w):
+    """sum_m w[m, j] e^(-i t log m) for each height t and column j: the real
+    cos and sin phase matrices times the real matrix [Re w | Im w]."""
+    J = w.shape[1]
+    coef = np.hstack([w.real, w.imag])
+    ph = np.outer(t, logm)
+    pc = np.cos(ph) @ coef
+    ps = np.sin(ph, out=ph) @ coef
+    return pc[:, :J] + ps[:, J:] + 1j * (pc[:, J:] - ps[:, :J])
 
 
 # ----------------------------------------------------------------------------
@@ -226,15 +287,21 @@ def _rescue_minima(ev, t, z):
 def _newton(ev, brackets):
     """Lockstep safeguarded Newton over all brackets at once.
 
-    Every evaluation keeps the sign-change bracket [a, b]; a Newton step that
-    leaves it falls back to the midpoint.  The first point of each bracket is
-    its secant point.  A bracket is closed once it is no wider than
-    _NEWTON_TOL, or than two float64 spacings where those are wider (above
-    t = 2^15).  When the Newton point would close it, the next point is taken
-    a quarter of _NEWTON_TOL (or one spacing) past it, so that it lands beyond
-    the root and closes the bracket in one evaluation.  Returns the midpoints.
+    The leading sum is expanded once around each bracket's centre, to radius
+    half the widest bracket (`FastLEvaluator.leading_sum_taylor`); every step
+    evaluates Z and Z' from that expansion plus the directly evaluated tail
+    (`FastLEvaluator.z_from_taylor`).  Every evaluation keeps the sign-change
+    bracket [a, b]; a Newton step that leaves it falls back to the midpoint.
+    The first point of each bracket is its secant point.  A bracket is closed
+    once it is no wider than _NEWTON_TOL, or than two float64 spacings where
+    those are wider (above t = 2^15).  When the Newton point would close it,
+    the next point is taken a quarter of _NEWTON_TOL (or one spacing) past
+    it, so that it lands beyond the root and closes the bracket in one
+    evaluation.  Returns the midpoints (an empty array for no brackets).
     """
     a, b, fa, fb = (np.array(x, dtype=np.float64) for x in brackets)
+    centre = 0.5 * (a + b)
+    coef, N = ev.leading_sum_taylor(centre, 0.5 * float(np.max(b - a, initial=0.0)))
     # Z and Z' at the last point evaluated in each bracket (an endpoint)
     x = np.full(a.size, np.nan)
     fx = np.zeros(a.size)
@@ -255,7 +322,7 @@ def _newton(ev, brackets):
                      np.where(np.abs(step) + past <= width[active],
                               xx + step + np.copysign(past, step), xx + step))
         p = np.where((p > aa) & (p < bb), p, 0.5 * (aa + bb))
-        fp, dfp = ev.z_and_derivative(p)
+        fp, dfp = ev.z_from_taylor(p, centre[active], coef[active], N[active])
         left = fa[active] * fp < 0  # root in [a, p]
         a[active] = np.where(left, aa, p)
         fa[active] = np.where(left, fa[active], fp)

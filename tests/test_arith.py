@@ -109,16 +109,6 @@ def test_kernel_smallest_cutoff():
         assert abs(got - mpmath.log(2) / 2) < 1e-25
 
 
-def test_fast_path_agrees_with_big_float():
-    # straddle the vectorized-float64 switchover and compare directly
-    from dirichlet_li.arith import _kernel_sum_fast, _kernel_sum_mp
-    chi3 = real_primitive_character(3)
-    prec = arith_precision(5, 3, 120_000)
-    a = _kernel_sum_mp(5, chi3, 120_000, prec)
-    b = _kernel_sum_fast(5, chi3, 120_000)
-    assert abs(complex(a) - complex(b)) < 1e-7 * max(1, abs(complex(a)))
-
-
 def test_kernel_real_for_real_character():
     chi3 = real_primitive_character(3)
     v = prime_power_kernel_sum(3, chi3, 1000)

@@ -131,3 +131,83 @@ def test_root_number_angle_matches_big_float_gauss_sum():
             ref = float(mpmath.arg(gauss_sum(chi).root_number_omega))
             diff = (angle - ref + math.pi) % (2 * math.pi) - math.pi
             assert abs(diff) <= 1e-14, (q, chi.label)
+
+
+@pytest.mark.parametrize("q, label", [(3, 1), (5, 1), (60, 14)])
+def test_taylor_expansion_matches_direct_evaluator(q, label):
+    ev = FastLEvaluator(character_by_label(q, label))
+    for T in (20.0, 1500.0, 8600.0):
+        # the scan's grid step at height T; brackets are at most one step wide
+        radius = min(0.2, math.pi / math.log(q * T)) / 2
+        centres = T + np.arange(40) * 2 * radius
+        coef, N = ev.leading_sum_taylor(centres, radius)
+        j = np.repeat(np.arange(centres.size), 9)
+        t = centres[j] + np.tile(np.linspace(-radius, radius, 9), centres.size)
+        z, dz = ev.z_from_taylor(t, centres[j], coef[j], N[j])
+        z_ref, dz_ref = ev.z_and_derivative(t)
+        assert np.all(np.abs(z - z_ref) <= 1e-6 * np.abs(z_ref) + 1e-12), (q, T)
+        assert np.all(np.abs(dz - dz_ref) <= 1e-6 * np.abs(dz_ref)), (q, T)
+
+
+def test_newton_on_no_brackets_returns_empty():
+    ev = FastLEvaluator(character_by_label(3, 1))
+    empty = np.zeros(0)
+    gammas = _newton(ev, (empty, empty, empty, empty))
+    assert gammas.shape == (0,)
+
+
+def test_newton_builds_one_expansion_per_bracket(monkeypatch):
+    # every Newton step of every bracket reads the one expansion built around
+    # the bracket's centre; the direct evaluator is not called
+    ev = FastLEvaluator(character_by_label(60, 14))
+    t = 1000 + np.arange(200) * 0.05
+    brackets = _brackets_from_grid(t, ev.z_values(t))
+    built = []
+    expand = ev.leading_sum_taylor
+
+    def counted(centres, radius):
+        built.append(len(centres))
+        return expand(centres, radius)
+
+    def direct(p):
+        raise AssertionError("direct evaluation inside the refinement")
+
+    monkeypatch.setattr(ev, "leading_sum_taylor", counted)
+    monkeypatch.setattr(ev, "z_and_derivative", direct)
+    gammas = _newton(ev, brackets)
+    assert built == [brackets[0].size] and gammas.size == brackets[0].size > 10
+    assert np.all((gammas >= brackets[0]) & (gammas <= brackets[1]))
+
+
+@pytest.mark.parametrize("q, label", [(3, 1), (60, 14)])
+def test_refinement_reads_the_expansion_few_times_per_zero(q, label, monkeypatch):
+    points = []
+    evaluate = FastLEvaluator.z_from_taylor
+
+    def counted(self, t, centres, coef, N):
+        points.append(len(t))
+        return evaluate(self, t, centres, coef, N)
+
+    monkeypatch.setattr(FastLEvaluator, "z_from_taylor", counted)
+    zeros = find_zeros_upper(character_by_label(q, label), height_for_count(q, 500))
+    # the Newton passes of the scan: about 4.6 points per zero
+    assert len(zeros) < sum(points) <= 5 * len(zeros)
+
+
+def test_expansion_passes_close_where_float_spacing_exceeds_tol(monkeypatch):
+    # the brackets of test_refinement_closes_where_float_spacing_exceeds_tol,
+    # counted on the expansion the Newton passes read
+    ev = FastLEvaluator(character_by_label(3, 1))
+    t = 70000 + np.arange(40) * 0.1
+    brackets = _brackets_from_grid(t, ev.z_values(t))
+    passes = []
+    evaluate = ev.z_from_taylor
+
+    def counted(p, *expansion):
+        passes.append(len(p))
+        return evaluate(p, *expansion)
+
+    monkeypatch.setattr(ev, "z_from_taylor", counted)
+    gammas = _newton(ev, brackets)
+    assert gammas.size == 5
+    assert 1 <= len(passes) <= 8
