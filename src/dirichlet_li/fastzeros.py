@@ -6,22 +6,25 @@ per-class Bernoulli tails), forms the phase-rotated real function whose sign
 changes are the critical-line zeros, and locates all zeros up to a target
 height.
 
-Each zero is refined by safeguarded Newton on Z inside the sign-change
-bracket the grid found.  The leading Dirichlet sum is entire, so it is
-expanded once around each bracket's centre, to radius half the widest
-bracket (at most half a grid step h, with h log(q t_max) <= pi) and to the
-smallest order K with (radius log m_max)^K / K! <= 2^-64, about 20 at the
-tables' heights; every Newton step reads S and S' from that expansion by
-Horner, adds the Euler-Maclaurin tail evaluated directly at the step's
-height, and rotates by theta.  The returned ordinate is the midpoint of a
+The leading Dirichlet sum has two evaluators: a multiplicative recurrence
+in the step on an equally spaced grid (`z_grid`), and everywhere else an
+expansion around centres (`leading_sum_taylor`), of which direct Z is the
+radius-0 case.  Both walk the same sorted runs of heights (`_chunks`), each
+with one Euler-Maclaurin length N, and add the directly evaluated tail and
+rotate by theta in `_rotated`.  Each zero is refined by safeguarded Newton
+on Z inside the sign-change bracket the grid found, reading S and S' by
+Horner from one expansion around the bracket's centre, to radius half the
+widest bracket (at most half a grid step h, with h log(q t_max) <= pi) and
+to the smallest order K >= 2 with (radius log m_max)^K / K! <= 2^-64, about
+20 at the tables' heights.  The returned ordinate is the midpoint of a
 float64 sign-change bracket no wider than 1e-11, or than two float64
 spacings above t = 2^15 (about 2.9e-11 at t = 6.6e4).  The Euler-Maclaurin
 truncation sits near 1e-13, but rounding grows with t: each phase t log m
-carries about one ulp of absolute error, and the expansion and the direct
-sum, which round their phases at different heights, differ in Z by up to
+carries about one ulp of absolute error, and expansions around different
+centres, which round their phases at different heights, differ in Z by up to
 2e-12 at t = 1500 and 2e-11 at t = 8600, so the sign of a bracket end is not
-certain where |Z| is that small.  Tests compare sampled zeros with the
-mpmath `hardy_z` in `lfunc`; nothing certifies them.
+certain where |Z| is that small.  Tests compare Z and sampled zeros with the
+mpmath `hardy_z` and `xi_value` in `lfunc`; nothing certifies them.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .specfun import bernoulli
 
 # Bumped whenever a change to the finder can move the ordinates it returns;
 # caches of computed zero lists are keyed on it.
-FINDER_VERSION = 3
+FINDER_VERSION = 4
 
 _R_MAX = 40
 _NEWTON_TOL = 1e-11    # closed bracket width, or two float64 spacings above it
@@ -147,40 +150,37 @@ class FastLEvaluator:
         rot = np.exp(1j * self.theta(t))
         return np.real(rot * (S + tail)), np.real(rot * (dS + dtail))
 
-    def z_and_derivative(self, t: np.ndarray):
-        """Z(t) and Z'(t) for an arbitrary array of heights, from the leading
-        sums of chi(m) m^(-1/2) and of its t-derivative factor
-        -i log m chi(m) m^(-1/2), which give L and L' together."""
-        t = np.asarray(t, dtype=np.float64)
-        z = np.empty(t.shape)
-        dz = np.empty(t.shape)
+    def _chunks(self, t: np.ndarray, radius: float):
+        """(indices, N) for each sorted run of _CHUNK heights, N the
+        Euler-Maclaurin length at the run's largest |t| plus radius."""
         order = np.argsort(t)
         for start in range(0, t.size, _CHUNK):
             idx = order[start:start + _CHUNK]
-            tc = t[idx]
-            N = self._em_n(float(np.max(np.abs(tc), initial=0.0)))
-            logm, amp = self._flat_coeffs(N)
-            S = _dirichlet_sums(tc, logm, np.stack([amp, -1j * logm * amp], axis=1))
-            z[idx], dz[idx] = self._rotated(tc, S[:, 0], S[:, 1], N)
-        return z, dz
+            yield idx, self._em_n(float(np.max(np.abs(t[idx]))) + radius)
+
+    def z_and_derivative(self, t: np.ndarray):
+        """Z(t) and Z'(t) for an arbitrary array of heights: the expansion of
+        `leading_sum_taylor` at radius 0, whose two coefficients are the
+        direct sums of chi(m) m^(-1/2) and -i log m chi(m) m^(-1/2) at t."""
+        t = np.asarray(t, dtype=np.float64)
+        return self.z_from_taylor(t, t, *self.leading_sum_taylor(t, 0.0))
 
     def leading_sum_taylor(self, centres: np.ndarray, radius: float):
         """Taylor coefficients of the leading sum S around each centre.
 
         S(t) = sum_m chi(m) m^(-1/2) e^(-i t log m) is entire, so
         S(c + d) = sum_k coef[k] d^k with coef[k] = sum_m e^(-i c log m)
-        chi(m) m^(-1/2) (-i log m)^k / k!.  For each sorted chunk of centres
-        one phase matrix cos/sin(c log m) times one real (M, 2K) matrix of
-        those weights gives every coefficient in one product.  N is the
-        chunk's Euler-Maclaurin length at max |c| + radius, and K the smallest
-        order with (radius log m_max)^K / K! <= 2^-64 at the largest N, so for
-        |d| <= radius the dropped orders are below 2^-64 sum |chi(m)| m^(-1/2).
-        Returns the (n, K) complex coefficients and each centre's N.
+        chi(m) m^(-1/2) (-i log m)^k / k!.  For each run of `_chunks` one
+        phase matrix cos/sin(c log m) times one real (M, 2K) matrix of those
+        weights gives every coefficient in one product.  K is the smallest
+        order >= 2 with (radius log m_max)^K / K! <= 2^-64 at the largest N,
+        so for |d| <= radius the dropped orders are below 2^-64 sum |chi(m)|
+        m^(-1/2).  Returns the (n, K) complex coefficients and each centre's N.
         """
         c = np.asarray(centres, dtype=np.float64)
         n_max = self._em_n(float(np.max(np.abs(c), initial=0.0)) + radius)
         x = radius * math.log(self.q * n_max)
-        K, term = 1, x
+        K, term = 2, x * x / 2
         while term > 2.0 ** -64:
             K += 1
             term *= x / K
@@ -188,14 +188,16 @@ class FastLEvaluator:
         logm, amp = self._flat_coeffs(n_max)
         w = np.cumprod(np.hstack([amp[:, None], -1j * logm[:, None] / np.arange(1, K)]),
                        axis=1)
+        w = np.hstack([w.real, w.imag])
         coef = np.empty((c.size, K), dtype=np.complex128)
         Ns = np.empty(c.size, dtype=np.int64)
-        order = np.argsort(c)
-        for start in range(0, c.size, _CHUNK):
-            idx = order[start:start + _CHUNK]
-            Ns[idx] = N = self._em_n(float(np.max(np.abs(c[idx]))) + radius)
+        for idx, N in self._chunks(c, radius):
+            Ns[idx] = N
             M = self.residues.size * N
-            coef[idx] = _dirichlet_sums(c[idx], logm[:M], w[:M])
+            ph = np.outer(c[idx], logm[:M])
+            pc = np.cos(ph) @ w[:M]
+            ps = np.sin(ph, out=ph) @ w[:M]
+            coef[idx] = pc[:, :K] + ps[:, K:] + 1j * (pc[:, K:] - ps[:, :K])
         return coef, Ns
 
     def z_from_taylor(self, t, centres, coef, N):
@@ -219,40 +221,21 @@ class FastLEvaluator:
         return self.z_and_derivative(t)[0]
 
     def z_grid(self, t0: float, h: float, count: int) -> np.ndarray:
-        """Z on the equally spaced grid t0 + j*h, j = 0..count-1, using the
-        multiplicative recurrence e^(-i(t0+jh)log m) = e^(-i t0 log m) *
-        (e^(-i h log m))^j within blocks."""
+        """Z on the equally spaced grid t0 + j*h, j = 0..count-1: from the
+        first height u of each run of `_chunks` the leading sum follows the
+        recurrence e^(-i(u+jh)log m) = e^(-i u log m) (e^(-i h log m))^j."""
+        t = t0 + np.arange(count) * h
         out = np.empty(count)
-        block = 256
-        j0 = 0
-        while j0 < count:
-            nb = min(block, count - j0)
-            tb = t0 + (j0 + np.arange(nb)) * h
-            N = self._em_n(float(np.max(np.abs(tb))))
+        for idx, N in self._chunks(t, 0.0):
             logm, amp = self._flat_coeffs(N)
-            c = amp * np.exp(-1j * tb[0] * logm)
+            c = amp * np.exp(-1j * t[idx[0]] * logm)
             mult = np.exp(-1j * h * logm)
-            flat = np.empty(nb, dtype=np.complex128)
-            for j in range(nb):
-                flat[j] = c.sum()
-                if j + 1 < nb:
-                    c *= mult
-            L = flat + self._tail_sum(tb, N)[0]
-            th = self.theta(tb)
-            out[j0:j0 + nb] = np.real(L) * np.cos(th) - np.imag(L) * np.sin(th)
-            j0 += nb
+            S = np.empty(idx.size, dtype=np.complex128)
+            for j in range(idx.size):
+                S[j] = c.sum()
+                c *= mult
+            out[idx] = self._rotated(t[idx], S, 0.0, N)[0]
         return out
-
-
-def _dirichlet_sums(t, logm, w):
-    """sum_m w[m, j] e^(-i t log m) for each height t and column j: the real
-    cos and sin phase matrices times the real matrix [Re w | Im w]."""
-    J = w.shape[1]
-    coef = np.hstack([w.real, w.imag])
-    ph = np.outer(t, logm)
-    pc = np.cos(ph) @ coef
-    ps = np.sin(ph, out=ph) @ coef
-    return pc[:, :J] + ps[:, J:] + 1j * (pc[:, J:] - ps[:, :J])
 
 
 # ----------------------------------------------------------------------------

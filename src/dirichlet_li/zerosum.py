@@ -60,6 +60,8 @@ def _kernel(n, zeros: ZeroList, N: int | None = None) -> tuple[np.ndarray, np.nd
     if len(zeros) == 0:
         raise EmptyZeroList("zero-sum formula needs at least one zero")
     N = len(zeros) if N is None else N
+    if N < 1:
+        raise ValueError("N must be >= 1")
     if N > len(zeros):
         raise NExceedsList(f"requested N={N} but the list holds {len(zeros)}")
     factor = 2.0 if zeros.symmetric else 1.0

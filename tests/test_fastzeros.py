@@ -6,10 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dirichlet_li.characters import character_by_label
+from dirichlet_li import fastzeros
+from dirichlet_li.characters import character_by_label, gauss_sum
+from dirichlet_li.errors import CompletenessCheckFailed
 from dirichlet_li.fastzeros import (FastLEvaluator, _bernoulli_coeffs,
-                                   _brackets_from_grid, _newton)
-from dirichlet_li.lfunc import find_zeros_upper, height_for_count, read_zeros
+                                   _brackets_from_grid, _newton, find_zeros_fast)
+from dirichlet_li.lfunc import (find_zeros_upper, hardy_z, height_for_count,
+                                read_zeros, xi_value)
 
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "data"
 
@@ -211,3 +214,42 @@ def test_expansion_passes_close_where_float_spacing_exceeds_tol(monkeypatch):
     gammas = _newton(ev, brackets)
     assert gammas.size == 5
     assert 1 <= len(passes) <= 8
+
+
+@pytest.mark.parametrize("q, label", [(3, 1), (5, 1), (60, 14)])
+def test_z_matches_big_float_completed_function(q, label):
+    # Z(t) = e^(-i omega/2) xi(1/2 + it) / |(q/pi)^((s+a)/2) Gamma((s+a)/2)|,
+    # with omega = 1 for the real characters, where xi is `hardy_z`
+    import mpmath
+
+    chi = character_by_label(q, label)
+    t = np.array([5.3, 100.7, 1500.2, 8600.4])
+    z = FastLEvaluator(chi).z_values(t)
+    for tj, zj in zip(t, z):
+        s = mpmath.mpc(0.5, tj)
+        half = (s + chi.parity_a) / 2
+        scale = mpmath.exp(mpmath.re(half * mpmath.log(mpmath.mpf(q) / mpmath.pi)
+                                     + mpmath.loggamma(half)))
+        if chi.is_real:
+            ref = hardy_z(tj, chi) / scale
+        else:
+            omega = gauss_sum(chi).root_number_omega
+            ref = mpmath.exp(-0.5j * mpmath.arg(omega)) * xi_value(s, chi) / scale
+        # float64 phases t log m carry about one ulp each: 5.8e-12 at t = 8600
+        assert abs(ref - zj) <= 2e-11, (q, label, tj)
+
+
+def test_completeness_failure_refines_once_then_raises(monkeypatch):
+    # no scan can match a count of -1000: the default grid, one 4x refined
+    # grid, then CompletenessCheckFailed
+    refines = []
+    scan = fastzeros.scan_zeros
+
+    def recorded(chi, t_max, refine_factor=1, side=1):
+        refines.append(refine_factor)
+        return scan(chi, t_max, refine_factor=refine_factor, side=side)
+
+    monkeypatch.setattr(fastzeros, "scan_zeros", recorded)
+    with pytest.raises(CompletenessCheckFailed):
+        find_zeros_fast(character_by_label(3, 1), 100.0, lambda T: -1000.0, 1.0)
+    assert refines == [1, 4]

@@ -106,6 +106,14 @@ def test_errors():
         li_zero_sum(0, single_zero_list())
 
 
+@pytest.mark.parametrize("N", [0, -5])
+def test_zero_sum_rejects_nonpositive_N(N):
+    # a negative N would slice records off the end of the list, and N = 0
+    # would sum nothing
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        zero_sum_values(single_zero_list(), [1, 2], N)
+
+
 # ----------------------------------------------------------------------------
 # tail bound
 
