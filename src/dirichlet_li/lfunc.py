@@ -106,16 +106,35 @@ def height_for_count(q: int, count: int) -> float:
 ZERO_DTYPE = np.dtype([("gamma", np.float64), ("alpha", np.int64)])
 
 
+def _zero_list_fault(gammas, alphas, height=1.0, provenance="computed"):
+    """The first broken zero-list rule as (message, where), `where` a record
+    index, "height" or "provenance", else None.  Ordinates are finite, positive
+    and strictly ascending, multiplicities >= 1, the height is finite and
+    positive, the provenance "computed" or "imported"."""
+    gammas, alphas = np.asarray(gammas, np.float64), np.asarray(alphas)
+    bad = ~np.isfinite(gammas) | (gammas <= 0) | (alphas < 1)
+    bad[1:] |= gammas[1:] <= gammas[:-1]
+    if bad.any():
+        i = int(bad.argmax())
+        gamma, alpha = gammas[i], alphas[i]
+        return (f"ordinate must be finite, got {gamma}" if not math.isfinite(gamma) else
+                f"multiplicity must be >= 1, got {alpha}" if alpha < 1 else
+                f"ordinate must be positive, got {gamma}" if gamma <= 0 else
+                f"ordinates must be strictly ascending ({gamma} after {gammas[i - 1]})"), i
+    if not (math.isfinite(height) and height > 0):
+        return f"height must be finite and positive, got {height}", "height"
+    if provenance not in ("computed", "imported"):
+        return f"bad provenance {provenance!r}", "provenance"
+
+
 class ZeroRecord(namedtuple("ZeroRecord", "gamma alpha")):
     """One ordinate and its multiplicity, checked on construction; a row of
     `ZeroList.records` has the same two attributes."""
     __slots__ = ()
 
     def __new__(cls, gamma: float, alpha: int = 1):
-        if not (gamma > 0 and math.isfinite(gamma)):
-            raise ValueError(f"gamma must be positive and finite, got {gamma}")
-        if alpha < 1:
-            raise ValueError("alpha must be >= 1")
+        if fault := _zero_list_fault([gamma], [alpha]):
+            raise ValueError(fault[0])
         return super().__new__(cls, gamma, alpha)
 
 
@@ -130,19 +149,14 @@ class ZeroList:
     symmetric: bool = True  # conjugate-symmetric zeros (gamma > 0 listed once)
 
     def __post_init__(self):
-        # np.array takes only exact tuples as structured rows; fromiter also
-        # takes named tuples and the rows of another record array
-        records = np.fromiter(self.records, ZERO_DTYPE).view(np.recarray)
+        # a structured array is copied whole; fromiter also takes named tuples
+        records = (self.records.astype(ZERO_DTYPE)
+                   if isinstance(self.records, np.ndarray) and self.records.dtype.names
+                   else np.fromiter(self.records, ZERO_DTYPE)).view(np.recarray)
         records.flags.writeable = False
         object.__setattr__(self, "records", records)
-        if np.any(np.diff(records.gamma) <= 0):
-            raise ValueError("zero ordinates must be strictly increasing")
-        if not np.all((records.gamma > 0) & np.isfinite(records.gamma)):
-            raise ValueError("gamma must be positive and finite")
-        if np.any(records.alpha < 1):
-            raise ValueError("alpha must be >= 1")
-        if self.provenance not in ("computed", "imported"):
-            raise ValueError(f"bad provenance {self.provenance!r}")
+        if fault := _zero_list_fault(records.gamma, records.alpha, self.height, self.provenance):
+            raise ValueError(fault[0])
 
     def __len__(self):
         return len(self.records)
@@ -242,39 +256,26 @@ def read_zeros(path, chi_id: tuple[int, int] | None = None) -> ZeroList:
     """Parse a zero file; `chi_id` (q, label) is checked when given."""
     header: dict[str, str] = {}
     header_line: dict[str, int] = {}
-    records = []
-    last_gamma = -math.inf
+    gammas, alphas, lines = [], [], []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
+            parts = raw.split()
+            if not parts:
                 continue
-            if line.startswith("#"):
-                for tok in line[1:].split():
+            if parts[0][0] == "#":
+                for tok in raw.strip()[1:].split():
                     if "=" in tok:
                         k, v = tok.split("=", 1)
                         header[k], header_line[k] = v, lineno
                 continue
-            parts = line.split()
             try:
-                gamma = float(parts[0])
-                alpha = int(parts[1]) if len(parts) > 1 else 1
-            except (ValueError, IndexError) as exc:
-                raise ParseError(f"bad record {line!r}: {exc}", lineno) from None
+                gammas.append(float(parts[0]))
+                alphas.append(int(parts[1]) if len(parts) > 1 else 1)
+            except ValueError as exc:
+                raise ParseError(f"bad record {raw.strip()!r}: {exc}", lineno) from None
             if len(parts) > 2:
-                raise ParseError(f"too many fields in {line!r}", lineno)
-            if not math.isfinite(gamma):
-                raise ParseError(f"ordinate must be finite, got {gamma}", lineno)
-            if alpha < 1:
-                raise ParseError(f"multiplicity must be >= 1, got {alpha}", lineno)
-            if gamma <= last_gamma:
-                raise ParseError(
-                    f"ordinates must be strictly ascending ({gamma} after {last_gamma})",
-                    lineno)
-            if gamma <= 0:
-                raise ParseError(f"gamma must be positive, got {gamma}", lineno)
-            last_gamma = gamma
-            records.append((gamma, alpha))
+                raise ParseError(f"too many fields in {raw.strip()!r}", lineno)
+            lines.append(lineno)
 
     def field(key, kind):
         if key not in header:
@@ -286,12 +287,7 @@ def read_zeros(path, chi_id: tuple[int, int] | None = None) -> ZeroList:
                              header_line[key]) from None
 
     q, label, height = field("q", int), field("label", int), field("height", float)
-    if not (math.isfinite(height) and height > 0):
-        raise ParseError(f"height must be finite and positive, got {height}",
-                         header_line["height"])
     provenance = header.get("provenance", "imported")
-    if provenance not in ("computed", "imported"):
-        raise ParseError(f"bad provenance {provenance!r}", header_line["provenance"])
     symmetric = header.get("symmetric", "true").lower()
     if symmetric not in ("true", "false"):
         raise ParseError(f"bad symmetric={header['symmetric']!r}: need true or false",
@@ -299,6 +295,10 @@ def read_zeros(path, chi_id: tuple[int, int] | None = None) -> ZeroList:
     if chi_id is not None and (q, label) != tuple(chi_id):
         raise ModulusMismatch(
             f"file is for character {q}.{label}, expected {chi_id[0]}.{chi_id[1]}")
+    records = np.rec.fromarrays([gammas, alphas], dtype=ZERO_DTYPE)
+    if fault := _zero_list_fault(records.gamma, records.alpha, height, provenance):
+        message, where = fault
+        raise ParseError(message, header_line[where] if isinstance(where, str) else lines[where])
     return ZeroList(chi_id=(q, label), records=records, height=height,
                     provenance=provenance,
                     symmetric=symmetric == "true")

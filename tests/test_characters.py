@@ -249,6 +249,22 @@ def test_primitive_root_generates():
             assert g % p == least, (p, e)
 
 
+def test_primitive_root_lifts_when_the_least_root_fails_mod_p_squared():
+    # 5 is the least primitive root mod p = 40487, but 5^(p-1) = 1 mod p^2,
+    # so 5 does not generate mod p^2 and g + p is taken instead
+    p = 40487
+    assert primitive_root(p, 1) == 5 and pow(5, p - 1, p * p) == 1
+    g = primitive_root(p, 2)
+    assert g == 40492
+    phi = p * (p - 1)
+    # the primes dividing phi(p^2) = p (p - 1)
+    primes = {p} | {f for f in range(2, p) if (p - 1) % f == 0
+                    and all(f % d for d in range(2, math.isqrt(f) + 1))}
+    assert primes == {2, 31, 653, p}
+    assert all(pow(g, phi // f, p * p) != 1 for f in primes)
+    assert any(pow(5, phi // f, p * p) == 1 for f in primes)
+
+
 def test_real_character_big_float_values_are_exact():
     for q in range(1, 301):
         for chi in enumerate_characters(q):

@@ -170,6 +170,37 @@ def test_li_zero_sum_columns_come_from_the_sweep(q3_zero_file, capsys):
         assert fields["lambda_zeros"] == _fmt(r.value)
 
 
+ONTHEFLY_ARGS = ("li", "--method", "zeros", "--n", "2", "--k", "0", "--format", "csv")
+
+
+def test_li_without_zero_file_scans_to_the_chosen_height(capsys):
+    from dirichlet_li.lfunc import find_zeros_upper
+    from dirichlet_li.zerosum import choose_T0, li_zero_sum_sweep
+    code, out, err = run(capsys, *ONTHEFLY_ARGS, "--q", "5", "--label", "2")
+    assert code == 0 and "note:" not in err
+    zl = find_zeros_upper(character_by_label(5, 2), choose_T0(2, 0, 5))
+    [r] = li_zero_sum_sweep([2], zl)
+    row = dict(zip(CSV_COLUMNS, out.strip().splitlines()[1].split(",")))
+    assert [row[c] for c in ("lambda_zeros", "bound_zeros", "N", "T")] == [
+        _fmt(r.value), _fmt(r.error_bound), _fmt(r.params.N), _fmt(r.params.T)]
+
+
+def test_li_without_zero_file_notes_a_complex_character(capsys):
+    code, out, err = run(capsys, *ONTHEFLY_ARGS, "--q", "5", "--label", "1")
+    assert code == 0
+    assert "note: complex character 5.1" in err
+    assert out.strip().splitlines()[1].startswith("2,")
+
+
+def test_li_without_zero_file_notes_the_cap(capsys, monkeypatch):
+    from dirichlet_li import cli
+    monkeypatch.setattr(cli, "_MAX_ONTHEFLY_ZEROS", 50)
+    _, out, err = run(capsys, *ONTHEFLY_ARGS, "--q", "5", "--label", "2")
+    assert "note: capping zero scan" in err
+    row = dict(zip(CSV_COLUMNS, out.strip().splitlines()[1].split(",")))
+    assert int(row["N"]) <= 60
+
+
 def test_li_csv_round_trip(q3_zero_file, capsys):
     # re-parsing the CSV at 12 significant digits reproduces the fields
     code, out, _ = run(capsys, "li", "--q", "3", "--n", "1..4",
@@ -299,6 +330,26 @@ def test_table_mod3(q3_zero_file, tmp_path, capsys):
         parts = line.split()
         if len(parts) == 4 and parts[0] == "1":
             assert abs(float(parts[3])) < 1e-3
+
+
+def test_table_without_zero_file_scans_the_same_list(q3_zero_file, tmp_path, capsys,
+                                                     monkeypatch):
+    from dirichlet_li import cli
+    from dirichlet_li.lfunc import height_for_count, read_zeros
+    heights = []
+
+    def fake_scan(chi, T):
+        heights.append(T)
+        return read_zeros(q3_zero_file, chi_id=(chi.modulus, chi.label))
+
+    monkeypatch.setattr(cli, "find_zeros_upper", fake_scan)
+    common = ("table", "--name", "mod3", "--plot-script", str(tmp_path / "plot.py"))
+    assert run(capsys, *common, "--out", str(tmp_path / "scan.csv"))[0] == 0
+    assert heights == [height_for_count(3, 10 ** 4)]
+    assert run(capsys, *common, "--zeros", q3_zero_file,
+               "--out", str(tmp_path / "file.csv"))[0] == 0
+    assert heights == [height_for_count(3, 10 ** 4)]
+    assert (tmp_path / "scan.csv").read_bytes() == (tmp_path / "file.csv").read_bytes()
 
 
 def test_table_csv_positive_column_reads_yes_or_no(q3_zero_file, tmp_path, capsys):

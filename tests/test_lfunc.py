@@ -12,7 +12,7 @@ from dirichlet_li.characters import (character_by_label, enumerate_characters,
                                      gauss_sum, real_primitive_character)
 from dirichlet_li.errors import (ComplexCharacterUnsupported, ModulusMismatch,
                                  NotPrimitive, ParseError, PrincipalCharacter)
-from dirichlet_li.lfunc import (ZeroList, ZeroRecord, completeness_tolerance,
+from dirichlet_li.lfunc import (ZERO_DTYPE, ZeroList, ZeroRecord, completeness_tolerance,
                                 find_zeros, find_zeros_merged,
                                 find_zeros_upper, hardy_z, height_for_count,
                                 l_value, n_formula, read_zeros, write_zeros,
@@ -324,6 +324,72 @@ def test_zero_file_parse_errors(tmp_path, body, msg):
     path.write_text(body)
     with pytest.raises(ParseError, match=msg):
         read_zeros(path)
+
+
+def test_zero_file_blank_lines_spaces_and_late_header(tmp_path):
+    path = tmp_path / "zeros.txt"
+    path.write_text("\n  8.04  \n\n\t11.25 2\n   \n# q=3 label=1 height=16\n"
+                    "  # provenance=computed\n")
+    zl = read_zeros(path, chi_id=(3, 1))
+    assert zl.gammas().tolist() == [8.04, 11.25]
+    assert zl.alphas().tolist() == [1, 2]
+    assert (zl.height, zl.provenance, zl.symmetric) == (16.0, "computed", True)
+
+
+def test_zero_file_header_only_reads_as_empty_list(tmp_path):
+    path = tmp_path / "zeros.txt"
+    path.write_text("# q=3 label=1 height=16\n")
+    zl = read_zeros(path)
+    assert len(zl) == 0 and zl.records.dtype == ZERO_DTYPE
+    assert zl.count_below(100.0) == 0
+
+
+@pytest.mark.parametrize("body,msg", [
+    ("# q=3 label=1 height=16\n8.0\n7.0\n9.0 0\n", "line 3: .*ascending"),
+    ("# q=3 label=1 height=16\n8.0\n\nnan\n-1.0\n", "line 4: .*finite"),
+    ("# q=3 label=1 height=16\n-2.0\n-1.0 0\n", "line 2: .*positive"),
+    # record rules are checked before the height and provenance rules
+    ("# q=3 label=1 height=-1\n# provenance=measured\n8.0\n7.0\n", "line 4: .*ascending"),
+    ("# q=3 label=1 height=-1\n# provenance=measured\n8.0\n", "line 1: height must be"),
+    # the whole file is parsed before any rule is checked
+    ("# q=3 label=1 height=16\n9.0\n8.0\n# symmetric=no\n", "line 4: bad symmetric"),
+])
+def test_zero_file_with_two_faults_reports_the_first(tmp_path, body, msg):
+    path = tmp_path / "zeros.txt"
+    path.write_text(body)
+    with pytest.raises(ParseError, match=msg):
+        read_zeros(path)
+
+
+def test_zero_list_from_structured_array_is_a_read_only_copy():
+    pairs = [(2.5, 1), (3.75, 2), (4.0, 1)]
+    raw = np.array(pairs, dtype=ZERO_DTYPE)
+    kw = dict(chi_id=(5, 1), height=5.0, provenance="computed")
+    from_array = ZeroList(records=raw, **kw)
+    from_pairs = ZeroList(records=[ZeroRecord(g, a) for g, a in pairs], **kw)
+    for zl in (from_array, ZeroList(records=from_pairs.records, **kw)):
+        assert zl.records.dtype == from_pairs.records.dtype
+        assert zl.gammas().tolist() == from_pairs.gammas().tolist()
+        assert zl.alphas().tolist() == from_pairs.alphas().tolist()
+        assert not zl.records.flags.writeable
+    assert not np.shares_memory(from_array.records, raw)
+    assert not np.shares_memory(from_pairs.records,
+                                ZeroList(records=from_pairs.records, **kw).records)
+    raw["gamma"][0] = 1.0
+    assert from_array.gammas()[0] == 2.5
+
+
+@pytest.mark.parametrize("height", [math.nan, math.inf, 0.0, -1.0])
+def test_zero_list_rejects_bad_height(height):
+    with pytest.raises(ValueError, match="height must be finite"):
+        ZeroList(chi_id=(3, 1), records=(ZeroRecord(8.0),), height=height,
+                 provenance="computed")
+
+
+def test_zero_list_rejects_bad_provenance():
+    with pytest.raises(ValueError, match="bad provenance"):
+        ZeroList(chi_id=(3, 1), records=(ZeroRecord(8.0),), height=10.0,
+                 provenance="measured")
 
 
 def test_zero_list_validation():

@@ -166,6 +166,17 @@ def test_choose_T0_post_check():
     assert tail_bound(2, T, 60) <= 3e-2
 
 
+@pytest.mark.parametrize("n,k,doublings,height", [(1, 3, 1, 12522.1), (2, 1, 6, 9085.9)])
+def test_choose_T0_post_check_doubles(n, k, doublings, height):
+    # for q = 3 the closed-form estimate is +inf below T ~ 7538, so the
+    # W_{-1} height is doubled until it lands above that point
+    T = choose_T0(n, k, 3)
+    assert T == 2 ** doublings * choose_T0(n, k)
+    assert T == pytest.approx(height, abs=0.05)
+    assert tail_bound(n, T, 3) <= 3 * 10.0 ** -k
+    assert tail_bound(n, T / 2, 3) == math.inf
+
+
 # ----------------------------------------------------------------------------
 # integral form
 
