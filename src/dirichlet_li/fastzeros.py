@@ -6,25 +6,21 @@ per-class Bernoulli tails), forms the phase-rotated real function whose sign
 changes are the critical-line zeros, and locates all zeros up to a target
 height.
 
-The leading Dirichlet sum has two evaluators: a multiplicative recurrence
-in the step on an equally spaced grid (`z_grid`), and everywhere else an
-expansion around centres (`leading_sum_taylor`), of which direct Z is the
-radius-0 case.  Both walk the same sorted runs of heights (`_chunks`), each
-with one Euler-Maclaurin length N, and add the directly evaluated tail and
-rotate by theta in `_rotated`.  Each zero is refined by safeguarded Newton
-on Z inside the sign-change bracket the grid found, reading S and S' by
-Horner from one expansion around the bracket's centre, to radius half the
-widest bracket (at most half a grid step h, with h log(q t_max) <= pi) and
-to the smallest order K >= 2 with (radius log m_max)^K / K! <= 2^-64, about
-20 at the tables' heights.  The returned ordinate is the midpoint of a
-float64 sign-change bracket no wider than 1e-11, or than two float64
-spacings above t = 2^15 (about 2.9e-11 at t = 6.6e4).  The Euler-Maclaurin
-truncation sits near 1e-13, but rounding grows with t: each phase t log m
-carries about one ulp of absolute error, and expansions around different
-centres, which round their phases at different heights, differ in Z by up to
-2e-12 at t = 1500 and 2e-11 at t = 8600, so the sign of a bracket end is not
-certain where |Z| is that small.  Tests compare Z and sampled zeros with the
-mpmath `hardy_z` and `xi_value` in `lfunc`; nothing certifies them.
+The leading Dirichlet sum has one evaluator, its Taylor expansion around
+centres (`leading_sum_taylor`); direct Z is the radius-0 case.  A scan with
+grid step h (h log(q t_max) <= pi) expands it around every cell midpoint, to
+radius h/2, from phases doubled along the midpoints; grid values, rescue
+sub-grids and safeguarded Newton steps read it by Horner in the cell holding
+them, add the directly evaluated tail and rotate by theta (`_rotated`).  An
+ordinate is the midpoint of a float64 sign-change bracket no wider than
+1e-11, or than two float64 spacings above t = 2^15.  The Euler-Maclaurin
+truncation sits near 1e-13, but each phase t log m carries about one ulp of
+absolute error, so Z from different expansions, or from a cell expansion
+and direct `z_values`, differs by up to 4e-14 at t = 30, 4e-12 at t = 1500
+and 3e-11 at t = 8600 (3.1, 5.1 and 60.14, both half planes); the sign of a
+bracket end is not certain where |Z| is that small.  Tests compare Z and
+sampled zeros with the mpmath `hardy_z` and `xi_value` in `lfunc`; nothing
+certifies them.
 """
 
 from __future__ import annotations
@@ -33,20 +29,19 @@ import functools
 import math
 
 import numpy as np
-from scipy.special import loggamma as _loggamma
 
 from .errors import CompletenessCheckFailed, PrincipalCharacter
 from .specfun import bernoulli
 
 # Bumped whenever a change to the finder can move the ordinates it returns;
 # caches of computed zero lists are keyed on it.
-FINDER_VERSION = 4
+FINDER_VERSION = 5
 
 _R_MAX = 40
 _NEWTON_TOL = 1e-11    # closed bracket width, or two float64 spacings above it
 _NEWTON_ITMAX = 80     # lockstep refinement passes at most
 _RESCUE_DEPTH = 32     # sub-cells of a grid cell holding a minimum of |Z|
-_CHUNK = 512           # heights per phase matrix
+_CHUNK = 256           # M-long complex rows held per run of heights
 
 
 @functools.cache
@@ -54,6 +49,19 @@ def _bernoulli_coeffs() -> np.ndarray:
     """B_{2r}/(2r)! as float64, r = 1.._R_MAX."""
     return np.array([float(bernoulli(2 * r) / math.factorial(2 * r))
                      for r in range(1, _R_MAX + 1)])
+
+
+def _im_log_gamma(x: float, y: np.ndarray) -> np.ndarray:
+    """Im log Gamma(x + iy), x > 0: Stirling's series to order 15 in real
+    parts, at x + 8 + iy less the arguments of x + j + iy, j < 8, where |y| < 8."""
+    near = np.abs(y) < 8
+    w = x + 8 * near + 1j * y
+    # B_2k / (2k (2k-1)) = (B_2k / (2k)!) (2k-2)!, k = 8..1
+    c = _bernoulli_coeffs()[7::-1] * [math.factorial(k) for k in range(14, -1, -2)]
+    shift = np.arctan2(y[..., None], x + np.arange(8)).sum(axis=-1)
+    lg = ((w.real - 0.5) * np.angle(w) + y * (np.log(np.abs(w)) - 1)
+          + (np.polyval(c, 1 / (w * w)) / w).imag)
+    return lg - np.where(near, shift, 0.0)
 
 
 class FastLEvaluator:
@@ -94,39 +102,43 @@ class FastLEvaluator:
         m = m.astype(np.float64)
         return np.log(m), w * m ** -0.5
 
-    def _tail_sum(self, t: np.ndarray, N: int):
+    def _tail_sum(self, t: np.ndarray, N: int, derivative: bool = True):
         """q^(-s) sum_a chi(a) EM tail of zeta(s, x_a), x_a = N + a/q, and its
-        derivative in t, vectorized over t.
+        derivative in t (0 unless `derivative`), vectorized over t.
 
-        The tail of each class is x^(-s) [x/(s-1) + 1/2 + sum_r P_r(s)
-        (N/x)^(2r+1)] with P_r(s) = B_2r/(2r)! (s)_(2r+1) N^(-2r-1) the same
-        for every class, so the sum over classes is one matrix product of
-        chi(a) x_a^(-s) with powers of N/x_a; scaling by N keeps the
-        Pochhammer factors from overflowing.  d/ds log P_r(s) is the sum of
+        The tail of each class is x^(-s) [x/(s-1) + 1/2 + sum_r P_r(s) (N/x)^(2r+1)]
+        with P_r(s) = B_2r/(2r)! (s)_(2r+1) N^(-2r-1) the same for every class,
+        so the sum over classes is one matrix product of chi(a) x_a^(-s) with
+        powers of N/x_a; scaling by N keeps the Pochhammer factors from
+        overflowing.  The terms through the first below 1e-18 sqrt(N) at the
+        largest |t|, where |P_r| peaks, are kept; d/ds log P_r(s) is the sum of
         1/(s+j) over its Pochhammer factors.
         """
         s = 0.5 + 1j * t
         x = N + self.residues / self.q
         lx = np.log(x)
         b = _bernoulli_coeffs()
-        pr = [b[0] * s / N]
-        sig = [1 / s]
-        for r in range(1, _R_MAX):
-            if np.max(np.abs(pr[-1])) < 1e-18 * math.sqrt(N):
-                break
-            f = (s + 2 * r - 1) * (s + 2 * r)
-            pr.append(pr[-1] * f * (b[r] / (b[r - 1] * N * N)))
-            # 1/(s+2r-1) + 1/(s+2r)
-            sig.append(sig[-1] + (2 * s + (4 * r - 1)) / f)
-        pr, sig = np.stack(pr, axis=1), np.stack(sig, axis=1)
-        v = (N / x)[:, None] ** (2 * np.arange(pr.shape[1]) + 1)
+        # P_r / P_(r-1) = b_r (s+2r-1)(s+2r) / (b_(r-1) N^2); row 0 at the largest |t|
+        r = np.arange(1, _R_MAX)
+        ts = np.append(np.max(np.abs(t), initial=0.0), t)[:, None]
+        f = 4 * r * r - 0.25 - ts * ts + 4j * r * ts  # (s+2r-1)(s+2r)
+        pr = np.cumprod(np.hstack([b[0] * (0.5 + 1j * ts) / N, f * (b[1:] / (b[:-1] * N * N))]),
+                        axis=1)
+        R = 1 + int(np.argmax(np.append(np.abs(pr[0, :-1]) < 1e-18 * math.sqrt(N), True)))
+        pr, f, r = pr[1:, :R], f[1:, :R - 1], r[:R - 1]
         e = self.res_values * np.exp(-np.outer(s, lx))  # chi(a) x_a^(-s)
-        ex, e1, exl, el = (e @ np.stack([x, np.ones_like(x), x * lx, lx], axis=1)).T
-        g, gl = np.hsplit(e @ np.hstack([v, v * lx[:, None]]), 2)
-        tail = ex / (s - 1) + e1 / 2 + np.sum(pr * g, axis=1)
-        dtail = (-exl / (s - 1) - ex / (s - 1) ** 2 - el / 2
-                 + np.sum(pr * (sig * g - gl), axis=1))
+        cols = np.column_stack([x, np.ones_like(x), (N / x)[:, None] ** (2 * np.arange(R) + 1)])
+        sums = e @ (np.hstack([cols, cols * lx[:, None]]) if derivative else cols)
+        ex, e1, g = sums[:, 0], sums[:, 1], sums[:, 2:R + 2]
         q_ms = np.exp(-s * math.log(self.q))
+        tail = ex / (s - 1) + e1 / 2 + np.einsum("ij,ij->i", pr, g)
+        if not derivative:
+            return tail * q_ms, 0.0
+        exl, el, gl = sums[:, R + 2], sums[:, R + 3], sums[:, R + 4:]
+        # 1/s, then 1/(s+2r-1) + 1/(s+2r) = (4r + 2it) / ((s+2r-1)(s+2r))
+        sig = np.cumsum(np.hstack([1 / s[:, None], (4 * r + 2j * t[:, None]) / f]), axis=1)
+        dtail = (-exl / (s - 1) - ex / (s - 1) ** 2 - el / 2
+                 + np.einsum("ij,ij->i", pr, sig * g - gl))
         # d/dt = i d/ds
         return tail * q_ms, 1j * q_ms * (dtail - math.log(self.q) * tail)
 
@@ -136,27 +148,19 @@ class FastLEvaluator:
         """Phase such that e^(i theta(t)) L(1/2+it) is real (same zeros as the
         rotated completed function, with the decaying modulus removed)."""
         t = np.asarray(t, dtype=np.float64)
-        z = (0.5 + self.a) / 2 + 0.5j * t
         return (0.5 * t * math.log(self.q / math.pi)
-                + np.imag(_loggamma(z)) - 0.5 * self.omega_angle)
+                + _im_log_gamma((0.5 + self.a) / 2, 0.5 * t) - 0.5 * self.omega_angle)
 
-    def _rotated(self, t, S, dS, N: int):
-        """Z and Z' at t from the leading sum S and its t-derivative dS of
-        length phi(q)*N: adds the Euler-Maclaurin tail at the same N and
-        rotates by theta(t).  Z' = Re[e^(i theta) (i theta' L + L')] =
-        Re[e^(i theta) L'], because i theta' e^(i theta) L = i theta' Z is
-        imaginary."""
-        tail, dtail = self._tail_sum(t, N)
+    def _rotated(self, t, S, dS, N):
+        """Z, and Z' unless dS is None, from the leading sum S of length phi(q)*N
+        and its t-derivative dS: adds the Euler-Maclaurin tail at the same N and
+        rotates by theta; Z' = Re[e^(i theta) L'] as i theta' Z is imaginary."""
+        tail, dtail = np.empty((2, t.size), dtype=np.complex128)
+        for n in np.unique(N):
+            i = np.flatnonzero(N == n)
+            tail[i], dtail[i] = self._tail_sum(t[i], int(n), dS is not None)
         rot = np.exp(1j * self.theta(t))
-        return np.real(rot * (S + tail)), np.real(rot * (dS + dtail))
-
-    def _chunks(self, t: np.ndarray, radius: float):
-        """(indices, N) for each sorted run of _CHUNK heights, N the
-        Euler-Maclaurin length at the run's largest |t| plus radius."""
-        order = np.argsort(t)
-        for start in range(0, t.size, _CHUNK):
-            idx = order[start:start + _CHUNK]
-            yield idx, self._em_n(float(np.max(np.abs(t[idx]))) + radius)
+        return np.real(rot * (S + tail)), None if dS is None else np.real(rot * (dS + dtail))
 
     def z_and_derivative(self, t: np.ndarray):
         """Z(t) and Z'(t) for an arbitrary array of heights: the expansion of
@@ -165,17 +169,20 @@ class FastLEvaluator:
         t = np.asarray(t, dtype=np.float64)
         return self.z_from_taylor(t, t, *self.leading_sum_taylor(t, 0.0))
 
-    def leading_sum_taylor(self, centres: np.ndarray, radius: float):
+    def leading_sum_taylor(self, centres: np.ndarray, radius: float,
+                           step: float | None = None):
         """Taylor coefficients of the leading sum S around each centre.
 
         S(t) = sum_m chi(m) m^(-1/2) e^(-i t log m) is entire, so
         S(c + d) = sum_k coef[k] d^k with coef[k] = sum_m e^(-i c log m)
-        chi(m) m^(-1/2) (-i log m)^k / k!.  For each run of `_chunks` one
-        phase matrix cos/sin(c log m) times one real (M, 2K) matrix of those
-        weights gives every coefficient in one product.  K is the smallest
-        order >= 2 with (radius log m_max)^K / K! <= 2^-64 at the largest N,
-        so for |d| <= radius the dropped orders are below 2^-64 sum |chi(m)|
-        m^(-1/2).  Returns the (n, K) complex coefficients and each centre's N.
+        chi(m) m^(-1/2) (-i log m)^k / k!: per run of sorted centres with one N,
+        a complex phase block times the (M, K) matrix of those weights.  With
+        `step` (ascending centres spaced by it), only the block's first row,
+        its doublings e^(-i 2^b step log m) and its shifts e^(-i jr step log m)
+        along the run, folded into the weights, are evaluated.  K is the least
+        order >= 2 with (radius log m_max)^K / K! <= 2^-64 at the largest N, so
+        for |d| <= radius the dropped orders are below 2^-64 sum |chi(m)|
+        m^(-1/2).  Returns the (n, K) complex coefficients and each N.
         """
         c = np.asarray(centres, dtype=np.float64)
         n_max = self._em_n(float(np.max(np.abs(c), initial=0.0)) + radius)
@@ -188,54 +195,47 @@ class FastLEvaluator:
         logm, amp = self._flat_coeffs(n_max)
         w = np.cumprod(np.hstack([amp[:, None], -1j * logm[:, None] / np.arange(1, K)]),
                        axis=1)
-        w = np.hstack([w.real, w.imag])
         coef = np.empty((c.size, K), dtype=np.complex128)
         Ns = np.empty(c.size, dtype=np.int64)
-        for idx, N in self._chunks(c, radius):
-            Ns[idx] = N
-            M = self.residues.size * N
-            ph = np.outer(c[idx], logm[:M])
-            pc = np.cos(ph) @ w[:M]
-            ps = np.sin(ph, out=ph) @ w[:M]
-            coef[idx] = pc[:, :K] + ps[:, K:] + 1j * (pc[:, K:] - ps[:, :K])
+        # N at each run's largest |c| + radius; with `step`, r ~ sqrt(K run)
+        order = np.argsort(c)
+        run = _CHUNK if step is None else _CHUNK ** 2 // (4 * K)
+        for start in range(0, c.size, run):
+            idx = order[start:start + run]
+            Ns[idx] = N = self._em_n(float(np.max(np.abs(c[idx]))) + radius)
+            lm = logm[:self.residues.size * N]
+            if step is None:
+                block = np.outer(c[idx], -lm) * 1j
+                coef[idx] = np.exp(block, out=block) @ w[:lm.size]
+                continue
+            # row i + jr of the run is row i of the block times e^(-i jr step log m)
+            r = 2 ** round(math.log2(idx.size * K) / 2)
+            block = np.empty((r, lm.size), dtype=np.complex128)
+            block[0] = np.exp(-1j * c[idx[0]] * lm)
+            for n in 2 ** np.arange(r.bit_length() - 1):
+                np.multiply(block[:n], np.exp(-1j * (n * step) * lm), out=block[n:2 * n])
+            nb = -(-idx.size // r)
+            shift = np.exp(-1j * (r * step) * np.outer(lm, np.arange(nb)))
+            out = block @ (shift[:, :, None] * w[:lm.size, None, :]).reshape(lm.size, -1)
+            coef[idx] = out.reshape(r, nb, K).swapaxes(0, 1).reshape(-1, K)[:idx.size]
         return coef, Ns
 
     def z_from_taylor(self, t, centres, coef, N):
-        """Z and Z' at each t from the expansion (coef, N) of
-        `leading_sum_taylor` around its own centre: S and S' by Horner in
-        d = t - c, then the directly evaluated tail at the same N."""
+        """Z and Z' at each t from the expansion (coef, N) of `leading_sum_taylor`
+        around its centre c: S and S' by Horner in t - c, plus the tail at N."""
+        return self._from_taylor(t, centres, coef, N, derivative=True)
+
+    def _from_taylor(self, t, centres, coef, N, derivative: bool):
+        """`z_from_taylor`, with Z' only if `derivative` (else None)."""
         d = t - centres
-        S = coef[:, -1]
-        dS = np.zeros_like(S)
+        S, dS = coef[:, -1], 0
         for k in range(coef.shape[1] - 2, -1, -1):
             dS = dS * d + S
             S = S * d + coef[:, k]
-        z = np.empty(t.shape)
-        dz = np.empty(t.shape)
-        for n in np.unique(N):
-            i = np.flatnonzero(N == n)
-            z[i], dz[i] = self._rotated(t[i], S[i], dS[i], int(n))
-        return z, dz
+        return self._rotated(t, S, dS if derivative else None, N)
 
     def z_values(self, t: np.ndarray) -> np.ndarray:
         return self.z_and_derivative(t)[0]
-
-    def z_grid(self, t0: float, h: float, count: int) -> np.ndarray:
-        """Z on the equally spaced grid t0 + j*h, j = 0..count-1: from the
-        first height u of each run of `_chunks` the leading sum follows the
-        recurrence e^(-i(u+jh)log m) = e^(-i u log m) (e^(-i h log m))^j."""
-        t = t0 + np.arange(count) * h
-        out = np.empty(count)
-        for idx, N in self._chunks(t, 0.0):
-            logm, amp = self._flat_coeffs(N)
-            c = amp * np.exp(-1j * t[idx[0]] * logm)
-            mult = np.exp(-1j * h * logm)
-            S = np.empty(idx.size, dtype=np.complex128)
-            for j in range(idx.size):
-                S[j] = c.sum()
-                c *= mult
-            out[idx] = self._rotated(t[idx], S, 0.0, N)[0]
-        return out
 
 
 # ----------------------------------------------------------------------------
@@ -250,10 +250,10 @@ def _brackets_from_grid(t, z):
     return t[flips], t[right], z[flips], z[right]
 
 
-def _rescue_minima(ev, t, z):
+def _rescue_minima(t, z, z_at):
     """Subdivide grid cells holding a local minimum of |Z| with no sign change;
     catches close zero pairs hiding inside one cell.  All candidates'
-    sub-grids are evaluated in one call."""
+    sub-grids are evaluated in one call of `z_at`."""
     absz = np.abs(z)
     scale = np.median(absz) if absz.size else 0.0
     sign = np.sign(z)
@@ -263,28 +263,28 @@ def _rescue_minima(ev, t, z):
         & (absz[mid] < 0.25 * scale)
         & (sign[:-2] == sign[mid]) & (sign[mid] == sign[2:]))[0]
     tt = np.linspace(t[cand - 1], t[cand + 1], _RESCUE_DEPTH + 1, axis=-1)
-    zz = ev.z_values(tt.ravel()).reshape(tt.shape)
+    zz = z_at(tt.ravel()).reshape(tt.shape)
     return _brackets_from_grid(tt, zz)
 
 
-def _newton(ev, brackets):
+def _newton(ev, brackets, expansion=None):
     """Lockstep safeguarded Newton over all brackets at once.
 
-    The leading sum is expanded once around each bracket's centre, to radius
-    half the widest bracket (`FastLEvaluator.leading_sum_taylor`); every step
-    evaluates Z and Z' from that expansion plus the directly evaluated tail
-    (`FastLEvaluator.z_from_taylor`).  Every evaluation keeps the sign-change
-    bracket [a, b]; a Newton step that leaves it falls back to the midpoint.
-    The first point of each bracket is its secant point.  A bracket is closed
-    once it is no wider than _NEWTON_TOL, or than two float64 spacings where
-    those are wider (above t = 2^15).  When the Newton point would close it,
-    the next point is taken a quarter of _NEWTON_TOL (or one spacing) past
-    it, so that it lands beyond the root and closes the bracket in one
-    evaluation.  Returns the midpoints (an empty array for no brackets).
+    Every step reads Z and Z' from one expansion of the leading sum per
+    bracket (`FastLEvaluator.z_from_taylor`): `expansion` is (centre, coef, N)
+    per bracket, by default around its centre to half the widest bracket.
+    Every evaluation keeps the sign-change bracket [a, b]; a Newton step that
+    leaves it falls back to the midpoint.  The first point of each bracket is
+    its secant point.  A bracket is closed once it is no wider than
+    _NEWTON_TOL, or than two float64 spacings where those are wider (above
+    t = 2^15).  When the Newton point would close it, the next point is taken
+    a quarter of _NEWTON_TOL (or one spacing) past it, so that it lands beyond
+    the root and closes the bracket in one evaluation.  Returns the midpoints
+    (an empty array for no brackets).
     """
     a, b, fa, fb = (np.array(x, dtype=np.float64) for x in brackets)
-    centre = 0.5 * (a + b)
-    coef, N = ev.leading_sum_taylor(centre, 0.5 * float(np.max(b - a, initial=0.0)))
+    centre, coef, N = expansion or (0.5 * (a + b), *ev.leading_sum_taylor(
+        0.5 * (a + b), 0.5 * float(np.max(b - a, initial=0.0))))
     # Z and Z' at the last point evaluated in each bracket (an endpoint)
     x = np.full(a.size, np.nan)
     fx = np.zeros(a.size)
@@ -330,10 +330,21 @@ def scan_zeros(chi, t_max: float, refine_factor: int = 1, side: int = 1):
     count = int(math.ceil(t_max / h)) + 1
     t0 = 0.0 if side >= 0 else -((count - 1) * h)
     t = t0 + np.arange(count) * h
-    z = ev.z_grid(t0, h, count)
+    # the leading sum around every cell midpoint, to radius h/2, in one call
+    centres = t[:-1] + 0.5 * h
+    coef, N = ev.leading_sum_taylor(centres, 0.5 * h, step=h)
+
+    def cell_of(x):  # the expansion of the cell holding each height
+        j = np.clip(((x - t0) // h).astype(np.intp), 0, centres.size - 1)
+        return centres[j], coef[j], N[j]
+
+    def z_at(x):
+        return ev._from_taylor(x, *cell_of(x), derivative=False)[0]
+
+    z = z_at(t)
     brackets = [np.concatenate(parts) for parts in
-                zip(_brackets_from_grid(t, z), _rescue_minima(ev, t, z))]
-    gammas = _newton(ev, brackets)
+                zip(_brackets_from_grid(t, z), _rescue_minima(t, z, z_at))]
+    gammas = _newton(ev, brackets, cell_of(0.5 * (brackets[0] + brackets[1])))
     if side < 0:
         gammas = -gammas
     gammas = np.sort(gammas)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import mpmath
 import numpy as np
-from scipy.special import lambertw
 
 from . import fastzeros
 from .characters import DirichletCharacter
@@ -97,7 +96,7 @@ def n_formula(T: float, chi_or_q) -> float:
 def height_for_count(q: int, count: int) -> float:
     """Height T where n_formula(T) = (T/2pi) log(qT/2pi e) reaches `count`:
     T = 2pi count / W_0(q count/e), clamped to n_formula's domain T >= 1."""
-    return max(1.0, 2 * math.pi * count / lambertw(q * count / math.e).real)
+    return max(1.0, 2 * math.pi * count / float(mpmath.lambertw(q * count / math.e).real))
 
 
 # ----------------------------------------------------------------------------

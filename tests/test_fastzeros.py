@@ -253,3 +253,107 @@ def test_completeness_failure_refines_once_then_raises(monkeypatch):
     with pytest.raises(CompletenessCheckFailed):
         find_zeros_fast(character_by_label(3, 1), 100.0, lambda T: -1000.0, 1.0)
     assert refines == [1, 4]
+
+
+@pytest.mark.parametrize("a", [0, 1])
+def test_im_log_gamma_matches_big_float(a):
+    # theta's Im log Gamma((1/2 + a)/2 + it/2) against mpmath.loggamma for t
+    # in [0, 1e5]: within 4 ulp of the value at t >= 16; below, the value
+    # crosses zero (near t = 6 for a = 0 and 4.6 for a = 1) and the shifted
+    # series' terms reach about 16, so the bound there is 4 ulp of 16
+    import mpmath
+
+    from dirichlet_li.fastzeros import _im_log_gamma
+    x = (0.5 + a) / 2
+    t = np.concatenate([[0.0], np.linspace(0, 16, 321)[1:], np.geomspace(1e-3, 1e5, 600)])
+    with mpmath.workdps(30):
+        ref = np.array([float(mpmath.loggamma(mpmath.mpc(x, tj / 2)).imag) for tj in t])
+    err = np.abs(_im_log_gamma(x, t / 2) - ref)
+    assert err[0] == 0.0
+    tol = 4 * np.spacing(np.where(t >= 16, np.abs(ref), 16.0))
+    assert np.all(err <= tol), t[np.argmax(err / tol)]
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    import os
+    import subprocess
+    import sys
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, dirichlet_li.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("q, label", [(3, 1), (5, 1), (60, 14)])
+@pytest.mark.parametrize("side", [1, -1])
+def test_cell_expansions_give_direct_z_on_the_grid(q, label, side):
+    # the scan's grid values: the expansion of each cell, built on equally
+    # spaced midpoints with `step`, read at the cell's left end (d = -h/2)
+    ev = FastLEvaluator(character_by_label(q, label))
+    for T in (30.0, 1500.0, 4000.0, 8600.0):
+        h = min(0.2, math.pi / math.log(q * T))
+        t0 = side * T - (300 * h if side > 0 else 0.0)
+        centres = t0 + (np.arange(300) + 0.5) * h
+        coef, N = ev.leading_sum_taylor(centres, 0.5 * h, step=h)
+        t = centres - 0.5 * h
+        z = ev.z_from_taylor(t, centres, coef, N)[0]
+        # phases t log m round to about one ulp each: 2.7e-11 at t = 8600
+        assert np.all(np.abs(z - ev.z_values(t)) <= 5e-15 * T + 1e-13), (T, side)
+
+
+def test_lower_half_plane_ordinates_sit_in_sign_change_brackets():
+    from dirichlet_li.lfunc import n_formula
+    chi = character_by_label(5, 1)
+    T = height_for_count(5, 1000)
+    gammas, _h = find_zeros_fast(chi, T, lambda t: n_formula(t, chi), 2 + math.log(T), side=-1)
+    assert gammas.size > 950
+    ev = FastLEvaluator(chi)
+    assert np.all(ev.z_values(-gammas - 1e-11) * ev.z_values(-gammas + 1e-11) < 0)
+
+
+@pytest.mark.parametrize("q, label", [(3, 1), (60, 14)])
+def test_scan_reads_one_expansion_set_on_the_grid_midpoints(q, label, monkeypatch):
+    # one scan builds every expansion in one `leading_sum_taylor` call on the
+    # cell midpoints, evaluates its grid from them (equal to direct Z), never
+    # calls the direct evaluator, and refines with few expansion reads
+    built, grids, points = [], [], []
+    expand, bracket, read = (FastLEvaluator.leading_sum_taylor, fastzeros._brackets_from_grid,
+                             FastLEvaluator.z_from_taylor)
+
+    def counted_expand(self, centres, radius, step=None):
+        built.append((np.array(centres), radius, step))
+        return expand(self, centres, radius, step=step)
+
+    def recorded_bracket(t, z):
+        grids.append((t, z))
+        return bracket(t, z)
+
+    def counted_read(self, t, centres, coef, N):
+        points.append(len(t))
+        return read(self, t, centres, coef, N)
+
+    def direct(self, t):
+        raise AssertionError("direct evaluation inside the scan")
+
+    monkeypatch.setattr(FastLEvaluator, "leading_sum_taylor", counted_expand)
+    monkeypatch.setattr(fastzeros, "_brackets_from_grid", recorded_bracket)
+    monkeypatch.setattr(FastLEvaluator, "z_from_taylor", counted_read)
+    monkeypatch.setattr(FastLEvaluator, "z_and_derivative", direct)
+    chi = character_by_label(q, label)
+    T = height_for_count(q, 500)
+    zeros = find_zeros_upper(chi, T)
+    h = min(0.2, math.pi / math.log(q * T))
+    assert len(built) == 1
+    centres, radius, step = built[0]
+    assert step == h and radius == h / 2
+    assert np.allclose(centres, (np.arange(centres.size) + 0.5) * h, rtol=0, atol=1e-12)
+    assert centres[-1] + h / 2 >= T
+    assert 0 < sum(points) <= 5 * len(zeros)
+    t, z = grids[0]
+    monkeypatch.undo()
+    assert np.allclose(t, np.arange(t.size) * h, rtol=0, atol=1e-12)
+    assert np.all(np.abs(z - FastLEvaluator(chi).z_values(t)) <= 5e-15 * T + 1e-13)
