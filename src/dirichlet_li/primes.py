@@ -1,4 +1,7 @@
-"""Prime sieve, prime powers with von Mangoldt weights, primality testing."""
+"""Prime sieve, prime powers with von Mangoldt weights, primality testing.
+
+Prime powers come from an odd-only, wheel-presieved segmented sieve that
+merges the prime 2 in with the powers p^m, m >= 2."""
 
 from __future__ import annotations
 
@@ -48,9 +51,14 @@ def sieve_primes(limit: int) -> np.ndarray:
     return np.nonzero(flags)[0].astype(np.int64)
 
 
-# Integers per block of the segmented sieve: the sieve holds one bool per
-# integer of a block plus the base primes up to sqrt(limit), whatever the limit.
+# Integers per block of the segmented sieve.  A block holds one bool per odd
+# integer in it plus the base primes up to sqrt(limit), whatever the limit.
 SEGMENT = 1 << 21
+
+# The wheel pre-sieve: _WHEEL[i] says whether the odd number 2i + 1 is prime
+# to 3, 5, 7, 11 and 13; the pattern repeats every 15,015 odd numbers.
+_WHEEL_PRIMES = (3, 5, 7, 11, 13)
+_WHEEL = np.gcd(2 * np.arange(15015) + 1, 15015) == 1
 
 
 def prime_power_segments(limit: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -58,15 +66,17 @@ def prime_power_segments(limit: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     k = p^m <= limit with Lambda(k) = log p, as (k, log_p) int64/float64
     arrays in ascending blocks of SEGMENT integers.
 
-    The base primes up to sqrt(limit) are sieved once; the powers p^m,
-    m >= 2, are all multiples of a base prime, so they are listed once and
-    merged into the block they fall in.
+    A block flags its odd numbers only.  It starts as the wheel pattern at
+    its phase, clear of the multiples of 3, 5, 7, 11 and 13 (Pritchard),
+    and then loses the odd multiples of the other base primes up to
+    sqrt(limit), sieved once.  The prime 2 and the powers p^m, m >= 2, are
+    listed once and merged into the block they fall in.
     """
     if limit < 2:
         return
-    base = sieve_primes(math.isqrt(limit)).tolist()
-    pk, pbase = [], []
-    for p in base:
+    base = sieve_primes(math.isqrt(limit))
+    pk, pbase = [2], [2]
+    for p in base.tolist():
         v = p * p
         while v <= limit:
             pk.append(v)
@@ -75,15 +85,20 @@ def prime_power_segments(limit: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     order = np.argsort(pk)
     pk = np.array(pk, dtype=np.int64)[order]
     plog = np.log(np.array(pbase, dtype=np.float64))[order]
+    beyond = base[base > 13]  # the base primes beyond the wheel
+    squares = beyond * beyond
     for lo in range(2, limit + 1, SEGMENT):
         hi = min(lo + SEGMENT, limit + 1)  # this block is [lo, hi)
-        flags = np.ones(hi - lo, dtype=bool)
-        for p in base:
-            if p * p >= hi:
-                break
-            start = max(p * p, -(-lo // p) * p)
-            flags[start - lo:: p] = False
-        ks = np.nonzero(flags)[0].astype(np.int64) + lo
+        first = lo | 1  # flags[i] is the odd number first + 2i
+        flags = np.resize(np.roll(_WHEEL, -(first // 2)), (hi - first + 1) // 2)
+        if lo <= 13:  # the wheel primes themselves
+            flags[[(w - first) // 2 for w in _WHEEL_PRIMES if lo <= w < hi]] = True
+        p = beyond[:np.searchsorted(squares, hi)]
+        start = np.maximum(squares[:p.size], -(-first // p) * p)
+        start += p * (start % 2 == 0)  # the first odd multiple to strike
+        for s, step in zip(((start - first) // 2).tolist(), p.tolist()):
+            flags[s:: step] = False
+        ks = 2 * np.flatnonzero(flags).astype(np.int64) + first
         logs = np.log(ks.astype(np.float64))
         a, b = np.searchsorted(pk, [lo, hi])
         if b > a:

@@ -229,6 +229,21 @@ def test_kernel_sums_match_big_float(monkeypatch, q, label, segment):
             assert g.imag == 0
 
 
+# cutoffs past the wheel period (30,030 integers) and across many blocks
+WIDE_MS = [2 * 10 ** 6 - 9973 * i for i in range(12)]
+
+
+@pytest.mark.parametrize("q,label", [(3, 1), (60, 14)])
+def test_kernel_sums_do_not_depend_on_block_size(monkeypatch, q, label):
+    chi = character_by_label(q, label)
+    default = kernel_sums(SWEEP_NS, chi, WIDE_MS)
+    monkeypatch.setattr(primes, "SEGMENT", 4099)  # odd, so blocks start odd and even
+    odd = kernel_sums(SWEEP_NS, chi, WIDE_MS)
+    # only the order of the float64 additions changes: about 4e-14 here
+    for n, a, b in zip(SWEEP_NS, default, odd):
+        assert abs(a - b) <= 2e-13 * abs(a), (q, label, n)
+
+
 def test_li_arith_is_one_element_sweep():
     chi = character_by_label(60, 14)
     swept = li_arith_sweep([3, 1, 2], chi, 1)

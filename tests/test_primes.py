@@ -5,6 +5,8 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirichlet_li import primes
 from dirichlet_li.primes import prime_power_segments, prime_powers
@@ -52,3 +54,87 @@ def test_no_prime_powers_below_two():
     assert list(prime_power_segments(1)) == []
     ks, logs = prime_powers(1)
     assert ks.size == 0 and logs.size == 0
+
+
+# ----------------------------------------------------------------------------
+# the odd-only wheel: its primes, their squares and its period on block edges
+
+@lru_cache(maxsize=None)
+def _trial_division_list(cap):
+    """brute_prime_powers(cap) with trial division stopped at sqrt(k)."""
+    ks, logs = [], []
+    for k in range(2, cap + 1):
+        p = next((d for d in range(2, math.isqrt(k) + 1) if k % d == 0), k)
+        m = k
+        while m % p == 0:
+            m //= p
+        if m == 1:
+            ks.append(k)
+            logs.append(math.log(p))
+    return np.array(ks, dtype=np.int64), np.array(logs)
+
+
+HYPOTHESIS_MAX_LIMIT = 2 * 10 ** 5
+
+
+def fast_brute_prime_powers(limit):
+    ks, logs = _trial_division_list(HYPOTHESIS_MAX_LIMIT)
+    cut = np.searchsorted(ks, limit, side="right")
+    return ks[:cut], logs[:cut]
+
+
+def test_trial_division_list_is_brute_force():
+    limit = 10 ** 4 + 7
+    ks, logs = fast_brute_prime_powers(limit)
+    ref_k, ref_log = brute_prime_powers(limit)
+    assert np.array_equal(ks, ref_k) and np.array_equal(logs, ref_log)
+
+
+def assert_blocks_are_brute_force(limit):
+    """Every block in value and dtype, one block per SEGMENT integers from 2,
+    ascending within each block and from one block to the next."""
+    blocks = list(prime_power_segments(limit))
+    assert len(blocks) == len(range(2, limit + 1, primes.SEGMENT))
+    assert all(k.dtype == np.int64 and lp.dtype == np.float64 and k.shape == lp.shape
+               for k, lp in blocks)
+    ks, logs = prime_powers(limit)
+    assert np.array_equal(ks, np.concatenate([ks[:0]] + [k for k, _ in blocks]))
+    assert np.array_equal(logs, np.concatenate([logs[:0]] + [lp for _, lp in blocks]))
+    # block j holds only k in [2 + j SEGMENT, 2 + (j + 1) SEGMENT)
+    block_of = np.repeat(np.arange(len(blocks)), [k.size for k, _ in blocks])
+    assert np.array_equal((ks - 2) // primes.SEGMENT, block_of)
+    ref_k, ref_log = fast_brute_prime_powers(limit)  # strictly ascending
+    assert np.array_equal(ks, ref_k)
+    assert np.allclose(logs, ref_log, rtol=1e-15, atol=0)
+
+
+# the wheel primes, 13^2 and 17^2 (the first square the loop strikes), and
+# one and one and a half wheel periods (15,015 odd numbers, 30,030 integers)
+WHEEL_EDGE_LIMITS = (13, 15, 17, 169, 170, 289, 30030, 30031, 45045)
+
+
+# blocks start at 2 + j * segment, so 3, 5 and 11 put a wheel prime first in a block
+@pytest.mark.parametrize("segment", [2, 3, 5, 7, 11, 64])
+@pytest.mark.parametrize("limit", WHEEL_EDGE_LIMITS)
+def test_wheel_edges_match_brute_force(monkeypatch, segment, limit):
+    monkeypatch.setattr(primes, "SEGMENT", segment)
+    assert_blocks_are_brute_force(limit)
+
+
+@settings(max_examples=40, deadline=None)
+@given(limit=st.integers(min_value=0, max_value=HYPOTHESIS_MAX_LIMIT),
+       segment=st.integers(min_value=2, max_value=3 * 10 ** 5))
+def test_random_limits_and_segments_match_brute_force(limit, segment):
+    saved = primes.SEGMENT
+    primes.SEGMENT = segment
+    try:
+        assert_blocks_are_brute_force(limit)
+    finally:
+        primes.SEGMENT = saved
+
+
+def test_prime_powers_to_ten_million():
+    ks, logs = prime_powers(10 ** 7)
+    assert ks.size == 665_134  # 664,579 primes and 555 higher powers
+    assert int(np.count_nonzero(np.log(ks) == logs)) == 664_579
+    assert ks[-1] == 9_999_991
