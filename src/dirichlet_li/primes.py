@@ -1,7 +1,8 @@
 """Prime sieve, prime powers with von Mangoldt weights, primality testing.
 
 Prime powers come from an odd-only, wheel-presieved segmented sieve that
-merges the prime 2 in with the powers p^m, m >= 2."""
+merges the prime 2 in with the powers p^m, m >= 2.  It takes its base
+primes from its own run to sqrt(limit)."""
 
 from __future__ import annotations
 
@@ -38,19 +39,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def sieve_primes(limit: int) -> np.ndarray:
-    """All primes <= limit, ascending, as int64 (the base primes of the
-    segmented sieve; one bool per integer, so keep limit small)."""
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, int(limit ** 0.5) + 1):
-        if flags[p]:
-            flags[p * p:: p] = False
-    return np.nonzero(flags)[0].astype(np.int64)
-
-
 # Integers per block of the segmented sieve.  A block holds one bool per odd
 # integer in it plus the base primes up to sqrt(limit), whatever the limit.
 SEGMENT = 1 << 21
@@ -69,12 +57,15 @@ def prime_power_segments(limit: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     A block flags its odd numbers only.  It starts as the wheel pattern at
     its phase, clear of the multiples of 3, 5, 7, 11 and 13 (Pritchard),
     and then loses the odd multiples of the other base primes up to
-    sqrt(limit), sieved once.  The prime 2 and the powers p^m, m >= 2, are
-    listed once and merged into the block they fall in.
+    sqrt(limit), which this sieve lists first.  The prime 2 and the powers
+    p^m, m >= 2, are listed once and merged into the block they fall in.
     """
     if limit < 2:
         return
-    base = sieve_primes(math.isqrt(limit))
+    # the primes are the k <= sqrt(limit) of weight log k itself: a proper
+    # power p^m has log k - log p >= log 2
+    ks, logs = prime_powers(math.isqrt(limit))
+    base = ks[np.log(ks) - logs < 0.5]
     pk, pbase = [2], [2]
     for p in base.tolist():
         v = p * p

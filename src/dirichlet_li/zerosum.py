@@ -18,9 +18,9 @@ lists flagged symmetric=false (e.g. merged chi / conj(chi) spectra for a
 complex character) are summed without it.
 
 Also here: the closed-form tail estimate with its Lambert-W height chooser,
-the step-function integral form (piecewise-exact from the same kernel, plus
-a scipy-quadrature cross-check), the partial-RH positivity report, and the
-two-term asymptotic model (1/2) n log n + c_chi n.
+the step-function integral form (piecewise-exact from the same kernel), the
+partial-RH positivity report, and the two-term asymptotic model
+(1/2) n log n + c_chi n.
 """
 
 from __future__ import annotations
@@ -164,7 +164,7 @@ def choose_T0(n: int, k_exp: int, q: int | None = None) -> float:
     return T0
 
 
-def li_integral(n: int, zeros: ZeroList, quadrature_check: bool = False) -> LiResult:
+def li_integral(n: int, zeros: ZeroList) -> LiResult:
     """lambda_chi(n) as 32n Int_0^inf g (4g^2+1)^(-2) N_chi(g) U_{n-1}(x(g)) dg
     with the step zero-counting function, evaluated exactly piecewise.
 
@@ -173,42 +173,18 @@ def li_integral(n: int, zeros: ZeroList, quadrature_check: bool = False) -> LiRe
     2c [T_n(x_right) - T_n(x_left)] = 2c (u_left - u_right) in the kernel's
     u = 1 - T_n; the step function starts at the first zero and the last
     piece runs to x -> 1 where u -> 0.  The total telescopes (Abel
-    summation) to the Chebyshev zero sum.  With quadrature_check=True each
-    smooth piece is also integrated by scipy's adaptive quadrature and the
-    total over [gamma_1, gamma_N] compared with the exact pieces to 1e-6.
+    summation) to the Chebyshev zero sum.  The tests integrate the formula
+    itself with mpmath.quad, piece by piece over [0, inf), and compare.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     w, u = _kernel(n, zeros)
     counts = np.cumsum(w)
     pieces = counts * (u - np.append(u[1:], 0.0))
-    if quadrature_check:
-        approx = _integral_quadrature(n, zeros, counts.tolist())
-        exact_over_range = math.fsum(pieces[:-1])
-        if abs(approx - exact_over_range) > 1e-6:
-            raise ArithmeticError(
-                f"quadrature check failed: piecewise {exact_over_range} vs "
-                f"quadrature {approx}")
     params = _truncation(zeros)
     return LiResult(n=n, value=math.fsum(pieces), method="integral",
                     error_bound=tail_bound(n, params.T, zeros.chi_id[0]),
                     params=params, chi_id=zeros.chi_id, conditional=True)
-
-
-def _integral_quadrature(n: int, zeros: ZeroList, counts: list[float]) -> float:
-    """scipy quad over [gamma_1, gamma_N], one call per smooth piece, where
-    the integrand holds the step count `counts[k]` (factor included)."""
-    from scipy.integrate import quad
-
-    def f(g, count):
-        # U_{n-1}(cos t) = sin(nt)/sin(t) at cos t = x(g)
-        t = math.acos((4 * g * g - 1) / (4 * g * g + 1))
-        u = n if t == 0 else math.sin(n * t) / math.sin(t)
-        return 16 * n * g / (4 * g * g + 1) ** 2 * count * u
-
-    g = zeros.gammas().tolist()
-    return math.fsum(quad(f, g[k], g[k + 1], args=(counts[k],))[0]
-                     for k in range(len(g) - 1))
 
 
 @dataclass(frozen=True)

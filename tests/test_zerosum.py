@@ -7,8 +7,9 @@ import mpmath
 import numpy as np
 import pytest
 
+from dirichlet_li.characters import character_by_label
 from dirichlet_li.errors import EmptyZeroList, NExceedsList, WDomainError
-from dirichlet_li.lfunc import ZeroList, ZeroRecord
+from dirichlet_li.lfunc import ZeroList, ZeroRecord, find_zeros_merged
 from dirichlet_li.zerosum import (PartialSumParams, _tail_closed_form,
                                   asymptotic_model, choose_T0, li_integral,
                                   li_zero_sum, partial_rh_report, tail_bound,
@@ -199,11 +200,38 @@ def test_integral_single_zero_closed_form():
     assert res.value == pytest.approx(4 / 401, rel=1e-12)
 
 
-def test_integral_quadrature_check(zeros_q3):
+def _integral_by_quadrature(n, zeros):
+    """The integral form itself, 16n Int_0^inf g (4g^2+1)^(-2) C(g)
+    U_{n-1}(x(g)) dg, by mpmath.quad at 20 digits: one call per piece
+    [gamma_k, gamma_{k+1}], on which the step count C is the constant
+    factor * (alpha_1 + ... + alpha_k), and the last piece to infinity.
+    C vanishes below gamma_1, so [0, gamma_1] adds nothing."""
+    factor = 2 if zeros.symmetric else 1
+    counts = factor * np.cumsum(zeros.alphas())
+    with mpmath.workdps(20):
+        def integrand(g, count):
+            # U_{n-1}(cos t) = sin(nt)/sin(t) at cos t = x(g)
+            t = mpmath.acos((4 * g * g - 1) / (4 * g * g + 1))
+            u = n if t == 0 else mpmath.sin(n * t) / mpmath.sin(t)
+            return 16 * n * g / (4 * g * g + 1) ** 2 * int(count) * u
+
+        ends = [mpmath.mpf(float(g)) for g in zeros.gammas()] + [mpmath.inf]
+        return float(mpmath.fsum(
+            mpmath.quad(lambda g, c=c: integrand(g, c), [a, b])
+            for a, b, c in zip(ends, ends[1:], counts)))
+
+
+def test_integral_matches_mpmath_quadrature(zeros_q3):
+    # the piecewise-exact evaluation against a quadrature of the formula over
+    # [0, inf), on a symmetric list (factor 2) and a merged one (factor 1)
     sub = ZeroList(chi_id=zeros_q3.chi_id, records=zeros_q3.records[:50],
                    height=zeros_q3.records[49].gamma, provenance="computed")
-    res = li_integral(2, sub, quadrature_check=True)  # raises on mismatch
-    assert res.method == "integral"
+    merged = find_zeros_merged(character_by_label(5, 1), 60.0)
+    assert len(merged) == 55 and not merged.symmetric
+    for zl, ns in ((sub, (1, 2, 8, 36)), (merged, (1, 8))):
+        for n in ns:
+            assert li_integral(n, zl).value == pytest.approx(
+                _integral_by_quadrature(n, zl), rel=1e-13, abs=0), (zl.chi_id, n)
 
 
 def test_integral_empty():
