@@ -310,12 +310,12 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--k", type=_at_least(int, 0), default=3,
                         help="zero-sum tail target 10^-k")
         sp.add_argument("--zeros", help="zero file (lfunc format)")
-        sp.add_argument("--out")
 
     pl = sub.add_parser("li", help="compute Li coefficients")
     add_common(pl)
     pl.add_argument("--method", choices=("arith", "zeros", "both"),
                     default="both")
+    pl.add_argument("--out")
     pl.add_argument("--format", choices=("table", "csv"), default="table")
     pl.add_argument("--pair", action="store_true",
                     help="for complex characters also print the "

@@ -3,8 +3,8 @@
 Evaluates L(1/2 + it, chi) for non-principal characters by Euler-Maclaurin
 summation over residue classes (flattened to a single Dirichlet sum plus
 per-class Bernoulli tails), forms the phase-rotated real function whose sign
-changes are the critical-line zeros, and locates all zeros up to a target
-height.
+changes are the critical-line zeros, and locates all zeros of one half plane
+up to a target height; `lfunc` checks how many it found.
 
 The leading Dirichlet sum has one evaluator, its Taylor expansion around
 centres (`leading_sum_taylor`); direct Z is the radius-0 case.  A scan with
@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .errors import CompletenessCheckFailed, PrincipalCharacter
+from .errors import PrincipalCharacter
 from .specfun import bernoulli
 
 # Bumped whenever a change to the finder can move the ordinates it returns;
@@ -318,7 +318,7 @@ def _newton(ev, brackets, expansion=None):
 
 
 def scan_zeros(chi, t_max: float, refine_factor: int = 1, side: int = 1):
-    """Grid scan + refinement; returns (ordinates ascending, grid step used).
+    """Grid scan + refinement; returns the ordinates, ascending.
 
     side=+1 scans t in (0, t_max]; side=-1 scans t in [-t_max, 0) and
     returns |t| of the zeros found there (for a complex character these are
@@ -345,26 +345,6 @@ def scan_zeros(chi, t_max: float, refine_factor: int = 1, side: int = 1):
     brackets = [np.concatenate(parts) for parts in
                 zip(_brackets_from_grid(t, z), _rescue_minima(t, z, z_at))]
     gammas = _newton(ev, brackets, cell_of(0.5 * (brackets[0] + brackets[1])))
-    if side < 0:
-        gammas = -gammas
-    gammas = np.sort(gammas)
-    gammas = gammas[(gammas > 0) & (gammas <= t_max)]
-    return gammas, h
+    gammas = np.sort(-gammas if side < 0 else gammas)
+    return gammas[(gammas > 0) & (gammas <= t_max)]
 
-
-def find_zeros_fast(chi, t_max: float, count_formula, tolerance: float,
-                    side: int = 1):
-    """Scan with the default grid; on completeness failure refine 4x once.
-
-    `count_formula(T)` supplies the smooth zero-count main term.  Raises
-    CompletenessCheckFailed if the refined scan still deviates beyond
-    `tolerance`.
-    """
-    expected = count_formula(t_max)
-    for refine in (1, 4):
-        gammas, h = scan_zeros(chi, t_max, refine_factor=refine, side=side)
-        if abs(len(gammas) - expected) <= tolerance:
-            return gammas, h
-    raise CompletenessCheckFailed(
-        f"found {len(gammas)} zeros up to T={t_max} but the counting formula "
-        f"predicts {expected:.2f} (tolerance {tolerance:.2f})")

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import fastzeros
 from .characters import DirichletCharacter
-from .errors import (ComplexCharacterUnsupported, ModulusMismatch, NotPrimitive,
-                     ParseError, PrincipalCharacter)
+from .errors import (CompletenessCheckFailed, ComplexCharacterUnsupported, ModulusMismatch,
+                     NotPrimitive, ParseError, PrincipalCharacter)
 from .precision import PrecisionConfig
 from .specfun import hurwitz_zeta, hurwitz_zeta_minus_pole, log_gamma
 
@@ -187,8 +187,8 @@ def find_zeros_upper(chi: DirichletCharacter, T_max: float) -> ZeroList:
     real or complex, by grid scanning of the rotated real function and
     lockstep safeguarded Newton refinement inside each sign-change bracket
     until it is no wider than 1e-11, or than two float64 spacings above
-    t = 2^15; the count is checked against the smooth counting formula
-    within +-(2 + log T_max) after at most one 4x grid refinement.
+    t = 2^15.  `_scan` checks the count against the smooth counting formula
+    within +-(2 + log T_max), and retries once on a 4x finer grid.
 
     For a complex character the zero set is not conjugate-symmetric and this
     one-sided list captures only the upper half plane; the returned list is
@@ -212,19 +212,29 @@ def find_zeros_merged(chi: DirichletCharacter, T_max: float) -> ZeroList:
 
 
 def _scan(chi: DirichletCharacter, T_max: float, sides) -> ZeroList:
-    """One completeness-checked scan per half plane (side 1 upper, -1 lower,
-    folded to |gamma|); ordinates within 1e-9 of their neighbour become one
-    record with the multiplicity of the group.  One side gives a list flagged
-    symmetric, two sides one that is not."""
+    """Scan each half plane (side 1 upper, -1 lower, folded to |gamma|); if its
+    count misses n_formula by more than completeness_tolerance, scan it once more
+    on a 4x finer grid, and raise CompletenessCheckFailed if that misses too.
+    Ordinates within 1e-9 of a neighbour merge into one record, alpha the group size."""
     if chi.is_principal:
         raise PrincipalCharacter("principal character not supported")
     if not chi.is_primitive:
         raise NotPrimitive("zero scanning requires a primitive character")
     if T_max < 1:
         raise ValueError("need T_max >= 1")
-    tol = completeness_tolerance(T_max)
-    gammas = np.sort(np.concatenate([fastzeros.find_zeros_fast(
-        chi, T_max, lambda T: n_formula(T, chi), tol, side=side)[0] for side in sides]))
+    expected, tol = n_formula(T_max, chi), completeness_tolerance(T_max)
+    found = []
+    for side in sides:
+        for refine in (1, 4):
+            gammas = fastzeros.scan_zeros(chi, T_max, refine_factor=refine, side=side)
+            if abs(len(gammas) - expected) <= tol:
+                break
+        else:
+            raise CompletenessCheckFailed(
+                f"found {len(gammas)} zeros up to T={T_max} but the counting formula "
+                f"predicts {expected:.2f} (tolerance {tol:.2f})")
+        found.append(gammas)
+    gammas = np.sort(np.concatenate(found))
     first = np.diff(gammas, prepend=-np.inf) >= 1e-9
     alphas = np.diff(np.append(np.flatnonzero(first), len(gammas)))
     return ZeroList(chi_id=(chi.modulus, chi.label),

@@ -11,11 +11,12 @@ from typing import Iterator
 
 import numpy as np
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # deterministic to 3.3e24
+# the first 13 primes: deterministic below 3,317,044,064,679,887,385,961,981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (valid far beyond the 64-bit range)."""
+    """Miller-Rabin, deterministic for n < 3,317,044,064,679,887,385,961,981."""
     if n < 2:
         return False
     for p in _MR_BASES:

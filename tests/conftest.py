@@ -8,19 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from dirichlet_li.characters import enumerate_characters, real_primitive_character
+from dirichlet_li.characters import character_by_label, real_primitive_character
 from dirichlet_li.fastzeros import FINDER_VERSION
 from dirichlet_li.lfunc import (find_zeros, find_zeros_upper, height_for_count,
                                 read_zeros, write_zeros)
 
 CACHE_DIR = Path(__file__).parent / ".cache" / f"finder-{FINDER_VERSION}"
-
-
-def _character(q: int, label: int):
-    for chi in enumerate_characters(q):
-        if chi.label == label:
-            return chi
-    raise LookupError(f"no character {q}.{label}")
 
 
 def _cached_zero_list(chi, count: int):
@@ -35,7 +28,8 @@ def _cached_zero_list(chi, count: int):
     assert len(zl) >= count, (len(zl), count)
     CACHE_DIR.mkdir(parents=True, exist_ok=True)
     write_zeros(path, zl)
-    return zl
+    # the 12-digit ordinates of the file, as a warm session reads them
+    return read_zeros(path, chi_id=(chi.modulus, chi.label))
 
 
 @pytest.fixture(scope="session")
@@ -53,16 +47,16 @@ def zeros_q5_quad():
 @pytest.fixture(scope="session")
 def zeros_q5_complex():
     """>= 10^4 upper-half-plane ordinates of the order-4 character 5.1."""
-    return _cached_zero_list(_character(5, 1), 10 ** 4)
+    return _cached_zero_list(character_by_label(5, 1), 10 ** 4)
 
 
 @pytest.fixture(scope="session")
 def zeros_q20():
     """>= 10^4 ordinates of the quadratic character of conductor 20."""
-    return _cached_zero_list(_character(20, 6), 10 ** 4)
+    return _cached_zero_list(character_by_label(20, 6), 10 ** 4)
 
 
 @pytest.fixture(scope="session")
 def zeros_q60():
     """>= 10^4 ordinates of the quadratic character of conductor 60."""
-    return _cached_zero_list(_character(60, 14), 10 ** 4)
+    return _cached_zero_list(character_by_label(60, 14), 10 ** 4)

@@ -311,6 +311,17 @@ def test_compare_needs_positive_n(q3_zero_file, capsys):
     assert "error:" in err
 
 
+def test_compare_has_no_out_option(q3_zero_file, tmp_path, capsys):
+    # compare writes no file, so it takes no --out to ignore
+    path = tmp_path / "compare.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--q", "3", "--n", "1", "--nu", "2", "--zeros", q3_zero_file,
+              "--out", str(path)])
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err
+    assert not path.exists()
+
+
 # ----------------------------------------------------------------------------
 # table command
 

@@ -10,7 +10,7 @@ from dirichlet_li import fastzeros
 from dirichlet_li.characters import character_by_label, gauss_sum
 from dirichlet_li.errors import CompletenessCheckFailed
 from dirichlet_li.fastzeros import (FastLEvaluator, _bernoulli_coeffs,
-                                   _brackets_from_grid, _newton, find_zeros_fast)
+                                   _brackets_from_grid, _newton)
 from dirichlet_li.lfunc import (find_zeros_upper, hardy_z, height_for_count,
                                 read_zeros, xi_value)
 
@@ -84,37 +84,42 @@ def test_first_zeros_match_stored_lists(q, label):
 @pytest.mark.parametrize("q, label", [(3, 1), (60, 14)])
 def test_refinement_evaluates_few_points_per_zero(q, label, monkeypatch):
     points = []
-    evaluate = FastLEvaluator.z_and_derivative
+    evaluate = FastLEvaluator._from_taylor
 
-    def counted(self, t):
+    def counted(self, t, centres, coef, N, derivative):
         points.append(len(t))
-        return evaluate(self, t)
+        return evaluate(self, t, centres, coef, N, derivative)
 
-    monkeypatch.setattr(FastLEvaluator, "z_and_derivative", counted)
+    monkeypatch.setattr(FastLEvaluator, "_from_taylor", counted)
     zeros = find_zeros_upper(character_by_label(q, label), height_for_count(q, 500))
-    # grid brackets are refined by safeguarded Newton: about 4.6 evaluations
-    # per zero, where regula falsi needed about 9.6
-    assert sum(points) <= 5 * len(zeros)
+    # every point the scan evaluates (grid, rescue sub-grids and Newton steps):
+    # about 11.1 per zero for 3.1 and 9.0 for 60.14, most of them on the grid
+    assert sum(points) <= 12 * len(zeros)
 
 
 def test_refinement_closes_where_float_spacing_exceeds_tol(monkeypatch):
     # above t = 2^16 adjacent floats are 1.46e-11 apart, wider than the 1e-11
     # target: brackets close at two spacings instead of running to the
-    # iteration cap
+    # iteration cap, all 5 reading the one expansion built for them (the
+    # passes are counted in test_expansion_passes_close_where_...)
     ev = FastLEvaluator(character_by_label(3, 1))
     t = 70000 + np.arange(40) * 0.1
     brackets = _brackets_from_grid(t, ev.z_values(t))
-    passes = []
-    evaluate = ev.z_and_derivative
+    built = []
+    expand = ev.leading_sum_taylor
 
-    def counted(p):
-        passes.append(len(p))
-        return evaluate(p)
+    def counted(centres, radius):
+        built.append(len(centres))
+        return expand(centres, radius)
 
-    monkeypatch.setattr(ev, "z_and_derivative", counted)
+    def direct(p):
+        raise AssertionError("direct evaluation inside the refinement")
+
+    monkeypatch.setattr(ev, "leading_sum_taylor", counted)
+    monkeypatch.setattr(ev, "z_and_derivative", direct)
     gammas = _newton(ev, brackets)
     assert gammas.size == 5
-    assert len(passes) <= 8
+    assert built == [5]
 
 
 def test_root_number_angle_matches_big_float_gauss_sum():
@@ -239,9 +244,9 @@ def test_z_matches_big_float_completed_function(q, label):
         assert abs(ref - zj) <= 2e-11, (q, label, tj)
 
 
-def test_completeness_failure_refines_once_then_raises(monkeypatch):
-    # no scan can match a count of -1000: the default grid, one 4x refined
-    # grid, then CompletenessCheckFailed
+def test_scan_refines_once_then_raises(monkeypatch):
+    # no scan can match a count of -1000: `lfunc._scan` tries the default
+    # grid, one 4x refined grid, then raises CompletenessCheckFailed
     refines = []
     scan = fastzeros.scan_zeros
 
@@ -249,9 +254,11 @@ def test_completeness_failure_refines_once_then_raises(monkeypatch):
         refines.append(refine_factor)
         return scan(chi, t_max, refine_factor=refine_factor, side=side)
 
+    monkeypatch.setattr("dirichlet_li.lfunc.n_formula", lambda T, chi: -1000.0)
     monkeypatch.setattr(fastzeros, "scan_zeros", recorded)
-    with pytest.raises(CompletenessCheckFailed):
-        find_zeros_fast(character_by_label(3, 1), 100.0, lambda T: -1000.0, 1.0)
+    with pytest.raises(CompletenessCheckFailed, match=r"up to T=100\.0 but the counting "
+                       r"formula predicts -1000\.00 \(tolerance 6\.61\)"):
+        find_zeros_upper(character_by_label(3, 1), 100.0)
     assert refines == [1, 4]
 
 
@@ -305,12 +312,12 @@ def test_cell_expansions_give_direct_z_on_the_grid(q, label, side):
         assert np.all(np.abs(z - ev.z_values(t)) <= 5e-15 * T + 1e-13), (T, side)
 
 
-def test_lower_half_plane_ordinates_sit_in_sign_change_brackets():
+def test_lower_half_plane_scan_ordinates_sit_in_sign_change_brackets():
     from dirichlet_li.lfunc import n_formula
     chi = character_by_label(5, 1)
     T = height_for_count(5, 1000)
-    gammas, _h = find_zeros_fast(chi, T, lambda t: n_formula(t, chi), 2 + math.log(T), side=-1)
-    assert gammas.size > 950
+    gammas = fastzeros.scan_zeros(chi, T, side=-1)
+    assert abs(gammas.size - n_formula(T, chi)) <= 2 + math.log(T)
     ev = FastLEvaluator(chi)
     assert np.all(ev.z_values(-gammas - 1e-11) * ev.z_values(-gammas + 1e-11) < 0)
 

@@ -229,13 +229,15 @@ def test_find_zeros_merged_counts():
     assert len({round(r.gamma, 6) for r in merged.records}) == len(merged)
 
 
-def test_find_zeros_merged_merges_coinciding_ordinates(monkeypatch):
+def test_find_zeros_merged_merges_coinciding_scans(monkeypatch):
+    # each fake half-plane scan passes the count check at T = 10 (n_formula
+    # 1.7, tolerance 4.3); the 1e-12 pair becomes one record of alpha 2
     found = {1: np.array([1.0, 2.0]), -1: np.array([2.0 + 1e-12, 3.0])}
 
-    def fake_find(chi, T_max, count_formula, tolerance, side=1):
-        return found[side], 0.1
+    def fake_scan(chi, t_max, refine_factor=1, side=1):
+        return found[side]
 
-    monkeypatch.setattr(fastzeros, "find_zeros_fast", fake_find)
+    monkeypatch.setattr(fastzeros, "scan_zeros", fake_scan)
     merged = find_zeros_merged(character_by_label(5, 1), 10.0)
     assert merged.gammas().tolist() == [1.0, 2.0, 3.0]
     assert merged.alphas().tolist() == [1, 2, 1]

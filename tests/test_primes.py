@@ -138,3 +138,13 @@ def test_prime_powers_to_ten_million():
     assert ks.size == 665_134  # 664,579 primes and 555 higher powers
     assert int(np.count_nonzero(np.log(ks) == logs)) == 664_579
     assert ks[-1] == 9_999_991
+
+
+def test_is_prime_matches_sieve_and_known_values():
+    ks, logs = prime_powers(2 * 10 ** 5)
+    assert [n for n in range(2 * 10 ** 5 + 1) if primes.is_prime(n)] == \
+        ks[np.log(ks) == logs].tolist()
+    # 399,165,290,221 * 798,330,580,441: a strong pseudoprime to every base
+    # up to 37, which only the 13th base, 41, exposes
+    assert not primes.is_prime(318_665_857_834_031_151_167_461)
+    assert primes.is_prime(2 ** 61 - 1) and primes.is_prime(2 ** 89 - 1)
