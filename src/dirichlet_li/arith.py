@@ -8,8 +8,9 @@ truncation estimate (not a bound).  The Laguerre-kernel form of the k-sum is
 the production path: `kernel_sums` evaluates it in float64 for all requested
 n in one pass over a segmented sieve to the largest cutoff.
 `prime_power_kernel_sum` evaluates the same form in big floats at every M
-and is the reference the sweep is tested against.  The raw alternating
-binomial double sum needs O(n) extra bits and is kept only as a test oracle.
+and is the reference the sweep is tested against.  Only `tau_chi` runs in
+big floats; the main term, the kernel sum and their total are float64.  The
+raw alternating binomial double sum is kept only as a test oracle.
 """
 
 from __future__ import annotations
@@ -41,8 +42,6 @@ class TruncationParams:
     def __post_init__(self):
         if self.M < 2:
             raise ValueError("M must be >= 2")
-        if self.nu < 1 and self.bound_case != "generic":
-            raise ValueError("nu must be >= 1")
 
 
 def tau_chi(n: int, parity_a: int, prec: PrecisionConfig | None = None) -> mpmath.mpf:
@@ -161,8 +160,8 @@ def choose_M(n: int, nu: int) -> TruncationParams:
     W_{-1}-branch candidate (n/4) W_{-1}(-10^-nu / sqrt n)^2 + 4 n 10^(2 nu)
     is recorded for diagnostics when its argument is in the branch domain.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    if n < 1 or nu < 0:
+        raise ValueError("need n >= 1 and nu >= 0")
     target = 10.0 ** (-nu)
     candidate = None
     x = -(10.0 ** (-nu)) / math.sqrt(n)
@@ -201,20 +200,12 @@ def _li_arith_many(ns, chi, params):
         raise ConductorOne("arithmetic formula requires conductor q > 1")
     if not chi.is_primitive:
         raise NotPrimitive("arithmetic formula requires a primitive character")
-    q = chi.modulus
+    c = (math.log(chi.modulus / math.pi) - np.euler_gamma) / 2
     kernels = kernel_sums(ns, chi, [p.M for p in params])
-    results = [None] * len(ns)
     # the largest n first: it needs the most bits, so each zeta(j) in tau_chi
     # is computed once and merely rounded for the smaller n
-    for i in sorted(range(len(ns)), key=lambda i: -ns[i]):
-        n, M = ns[i], params[i].M
-        prec_n = arith_precision(n, q, M)
-        with prec_n.workprec(20):
-            main = mpmath.mpf(n) / 2 * (mpmath.log(mpmath.mpf(q) / mpmath.pi) - mpmath.euler)
-            tau = tau_chi(n, chi.parity_a, prec_n)
-            value = main + tau + mpmath.mpf(kernels[i].real)
-        results[i] = LiResult(n=n, value=float(value), method="arith",
-                              error_bound=error_bound_EM(n, M), params=params[i],
-                              chi_id=(chi.modulus, chi.label),
-                              complex_character=not chi.is_real)
-    return results
+    tau = {n: float(tau_chi(n, chi.parity_a)) for n in sorted(set(ns), reverse=True)}
+    return [LiResult(n=n, value=float(n * c + tau[n] + k.real), method="arith",
+                     error_bound=error_bound_EM(n, p.M), params=p,
+                     chi_id=(chi.modulus, chi.label), complex_character=not chi.is_real)
+            for n, p, k in zip(ns, params, kernels)]

@@ -166,6 +166,16 @@ def test_truncation_params_validation():
         TruncationParams(M=1, nu=3, bound_case="generic")
 
 
+def test_choose_M_checks_nu_itself():
+    # nu = 0 is accepted at every n, whether or not M + 1 is prime; nu < 0
+    # is rejected at every n
+    for n in range(1, 8):
+        assert choose_M(n, 0).nu == 0
+    for n in (12, 45):
+        with pytest.raises(ValueError):
+            choose_M(n, -1)
+
+
 # ----------------------------------------------------------------------------
 # li_arith
 
@@ -266,3 +276,20 @@ def test_tau_independent_of_call_order(monkeypatch):
         assert float(v) == float(down[n, a]), (n, a)
         with mpmath.workprec(precs[n].working_bits + 20):
             assert abs(v - down[n, a]) <= 2.0 ** -precs[n].working_bits * max(1, abs(v))
+
+
+@pytest.mark.parametrize("q,label", [(3, 1), (5, 1), (60, 14)])
+def test_sweep_float_sum_matches_big_float_sum(q, label):
+    # the float64 main term plus tau plus kernel against the same three terms
+    # added in big floats at arith_precision(n, q, M)
+    chi = character_by_label(q, label)
+    ns = range(1, 37)
+    params = [choose_M(n, 1) for n in ns]
+    kernels = kernel_sums(ns, chi, [p.M for p in params])
+    for r, p, kernel in zip(li_arith_sweep(ns, chi, 1), params, kernels):
+        prec = arith_precision(r.n, q, p.M)
+        with prec.workprec(20):
+            main = mpmath.mpf(r.n) / 2 * (mpmath.log(mpmath.mpf(q) / mpmath.pi) - mpmath.euler)
+            ref = float(main + tau_chi(r.n, chi.parity_a, prec) + mpmath.mpf(kernel.real))
+        assert type(r.value) is float
+        assert abs(r.value - ref) <= 16 * math.ulp(ref), (q, label, r.n)

@@ -286,6 +286,17 @@ def test_compare_smoke(q3_zero_file, capsys):
         assert any("note:" in l for l in lines)
 
 
+def test_compare_fail_verdict_exits_one_with_note(q3_zero_file, capsys):
+    # at n = 4, nu = 3 the two routes differ by about 3.5e-2, far outside
+    # the budget of about 1.1e-3
+    code, out, _ = run(capsys, "compare", "--q", "3", "--n", "4..4", "--nu", "3",
+                       "--zeros", q3_zero_file)
+    lines = out.strip().splitlines()
+    assert code == 1
+    assert [l.split()[0] for l in lines if l.endswith("FAIL")] == ["4"]
+    assert any(l.startswith("note: the truncation estimates") for l in lines)
+
+
 def test_compare_columns_match_li_rows(q3_zero_file, capsys):
     # compare reports the values `li --method both` writes, from the same rows
     common = ("--q", "3", "--label", "1", "--n", "1..4", "--nu", "2",
