@@ -11,8 +11,10 @@ RH.  With theta_k = arctan(1/(2 gamma_k)) one has x_k = cos(2 theta_k), so
 
 One float64 kernel evaluates that form: each term is then accurate to a few
 ulp relative, even for x_k exponentially close to 1 where the recurrence,
-arccos and the 1 - cos difference lose ground, and `math.fsum` rounds the
-nonnegative terms' sum correctly.  The factor 2 presumes a
+arccos and the 1 - cos difference lose ground.  `fsum_rows` rounds the
+terms' sum correctly, the value `math.fsum` gives, by vectorised exact
+extraction (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31 (2008)).
+The factor 2 presumes a
 conjugate-symmetric zero set (real chi, positive ordinates listed once);
 lists flagged symmetric=false (e.g. merged chi / conj(chi) spectra for a
 complex character) are summed without it.
@@ -57,6 +59,8 @@ def _kernel(n, zeros: ZeroList, N: int | None = None) -> tuple[np.ndarray, np.nd
     """(w, u) over the first N records (all when N is None): weights
     w_k = factor alpha_k and u_k = 2 sin^2(n theta_k) = 1 - T_n(x_k), with
     one row of u per n when n is an array.  The zero-sum terms are w * u."""
+    if np.any(np.asarray(n) < 1):
+        raise ValueError("need n >= 1")
     if len(zeros) == 0:
         raise EmptyZeroList("zero-sum formula needs at least one zero")
     N = len(zeros) if N is None else N
@@ -92,15 +96,47 @@ def li_zero_sum(n: int, zeros: ZeroList,
                 params: PartialSumParams | None = None) -> LiResult:
     """`li_zero_sum_sweep` for the one n.  Only params.N is read: T is always
     derived from the list."""
-    if n < 1:
-        raise ValueError("need n >= 1")
     return li_zero_sum_sweep([n], zeros, params.N if params is not None else None)[0]
 
 
 def zero_sum_values(zeros: ZeroList, ns, N: int | None = None) -> np.ndarray:
     """lambda_chi(n, N) for each n of a sequence, the one vectorized zero sum."""
     w, u = _kernel(np.asarray(ns), zeros, N)
-    return np.array([math.fsum(w * row) for row in u])
+    u *= w
+    return fsum_rows(u)
+
+
+def fsum_rows(p: np.ndarray) -> np.ndarray:
+    """`math.fsum` of each row of the 2-D float64 array p, bit for bit,
+    without a Python loop over the rows; p is overwritten.
+
+    Rump-Ogita-Oishi ExtractVector (SIAM J. Sci. Comput. 31 (2008), Lemma
+    3.3): with sigma = 2^M 2^e per row, 2^M >= cols + 2 and 2^e above the
+    row's largest |p|, q = (sigma + p) - sigma splits p = q + (p - q)
+    exactly, and every q is a multiple of 2^-53 sigma below sigma / cols, so
+    each row's q.sum() is exact in any order.  Each pass shrinks the
+    residual by at least 2^(52 - M) until it is 0; `math.fsum` of the few
+    exact partial sums is then the correctly rounded row sum.  Raises
+    ValueError on a non-finite entry or where sigma would overflow.
+    """
+    M = (p.shape[1] + 1).bit_length()
+    q = np.empty_like(p)
+    partials = []
+    while True:
+        top = np.maximum(p.max(axis=1), -p.min(axis=1))
+        if not np.isfinite(top).all():
+            raise ValueError("cannot sum a non-finite term")
+        if not top.any():
+            break
+        e = np.frexp(top)[1] + M
+        if e.max() > 1023:
+            raise ValueError(f"terms up to {top.max()} overflow the extraction")
+        sigma = np.ldexp(1.0, e)[:, np.newaxis]
+        np.add(p, sigma, out=q)
+        q -= sigma
+        p -= q
+        partials.append(q.sum(axis=1))
+    return np.array([math.fsum(row) for row in zip(*partials)]) if partials else np.zeros(len(p))
 
 
 def zero_sum_prefix(n: int, zeros: ZeroList) -> np.ndarray:
@@ -144,14 +180,19 @@ def choose_T0(n: int, k_exp: int, q: int | None = None) -> float:
 
     When q is given the closed-form tail estimate is post-checked at T0 and
     the height doubled until it is <= 3*10^(-k) (the chooser controls only
-    the dominant (log T)/T term; the slack absorbs the rest).
+    the dominant (log T)/T term; the slack absorbs the rest).  Where
+    c > 1/e every T >= e meets the first condition, so with q given the
+    doubling starts at max(n, 3), the least height the estimate applies at.
     """
     if n < 1 or k_exp < 0:
         raise ValueError("need n >= 1 and k_exp >= 0")
     c = 4 * math.pi / (9 * n * n) * 10.0 ** (-k_exp)
-    if -c < -1 / math.e:
+    if c <= 1 / math.e:
+        T0 = float(-lambert_w_m1(-c) / c)
+    elif q is not None:
+        T0 = float(max(n, 3))
+    else:
         raise WDomainError(f"-(4 pi / 9 n^2) 10^-k = {-c} below the branch point -1/e")
-    T0 = float(-lambert_w_m1(-c) / c)
     if q is not None:
         target = 3 * 10.0 ** (-k_exp)
         for _ in range(_T0_MAX_DOUBLINGS):
@@ -176,13 +217,11 @@ def li_integral(n: int, zeros: ZeroList) -> LiResult:
     summation) to the Chebyshev zero sum.  The tests integrate the formula
     itself with mpmath.quad, piece by piece over [0, inf), and compare.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
     w, u = _kernel(n, zeros)
     counts = np.cumsum(w)
     pieces = counts * (u - np.append(u[1:], 0.0))
     params = _truncation(zeros)
-    return LiResult(n=n, value=math.fsum(pieces), method="integral",
+    return LiResult(n=n, value=float(fsum_rows(pieces[np.newaxis])[0]), method="integral",
                     error_bound=tail_bound(n, params.T, zeros.chi_id[0]),
                     params=params, chi_id=zeros.chi_id, conditional=True)
 

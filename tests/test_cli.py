@@ -201,6 +201,25 @@ def test_li_without_zero_file_notes_the_cap(capsys, monkeypatch):
     assert int(row["N"]) <= 60
 
 
+def test_li_without_zero_file_scans_low_where_every_height_qualifies(capsys, monkeypatch):
+    # n = 1, k = 0: (log T)/T <= 4 pi / 9 for every T >= e, so the chooser
+    # starts at max(n, 3) = 3, where the tail estimate is already 0.96 <= 3,
+    # instead of failing over to the 20,000-zero cap
+    from dirichlet_li import cli
+    heights = []
+    scan = cli.find_zeros_upper
+    monkeypatch.setattr(cli, "find_zeros_upper",
+                        lambda chi, T: heights.append(T) or scan(chi, T))
+    code, out, err = run(capsys, "li", "--q", "60", "--label", "14", "--method", "zeros",
+                         "--n", "1", "--k", "0", "--format", "csv")
+    assert heights == [3.0] and "note:" not in err
+    row = dict(zip(CSV_COLUMNS, out.strip().splitlines()[1].split(",")))
+    # the estimate is taken at the one ordinate summed, 1.88 < 3, where it
+    # does not apply: the bound prints as inf and the exit code is 1
+    assert (row["N"], row["T"], row["bound_zeros"]) == ("1", "1.88060641688", "inf")
+    assert code == 1
+
+
 def test_li_csv_round_trip(q3_zero_file, capsys):
     # re-parsing the CSV at 12 significant digits reproduces the fields
     code, out, _ = run(capsys, "li", "--q", "3", "--n", "1..4",

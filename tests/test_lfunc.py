@@ -316,6 +316,8 @@ def test_zero_file_modulus_mismatch(tmp_path):
     ("# q=3\n# label=1.5 height=16\n8.0\n", "line 2: bad header field label"),
     ("# q=3 label=1 height=high\n8.0\n", "line 1: bad header field height"),
     ("# q=3 label=1 height=16\n8.0\n9.0 0\n", "line 3: multiplicity"),
+    # a form feed or vertical tab separates fields but does not end a line
+    ("# q=3 label=1 height=16\n9.0\f2\v\n8.0\n", "line 3: .*ascending"),
     ("# q=3 label=1 height=16\n8.0\nnan\n", "line 3: .*finite"),
     ("# q=3 label=1 height=16\n8.0\ninf\n", "line 3: .*finite"),
     ("# q=3 label=1 height=nan\n8.0\n", "line 1: height must be finite"),
@@ -353,6 +355,9 @@ def test_zero_file_header_only_reads_as_empty_list(tmp_path):
     # record rules are checked before the height and provenance rules
     ("# q=3 label=1 height=-1\n# provenance=measured\n8.0\n7.0\n", "line 4: .*ascending"),
     ("# q=3 label=1 height=-1\n# provenance=measured\n8.0\n", "line 1: height must be"),
+    # parse faults are reported in file order, whatever their kind
+    ("# q=3 label=1 height=16\n8.0 2 junk\nnot-a-number\n", "line 2: too many fields"),
+    ("# q=3 label=1 height=16\nnot-a-number\n8.0 2 junk\n", "line 2: bad record"),
     # the whole file is parsed before any rule is checked
     ("# q=3 label=1 height=16\n9.0\n8.0\n# symmetric=no\n", "line 4: bad symmetric"),
 ])

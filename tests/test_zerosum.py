@@ -6,12 +6,14 @@ import random
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirichlet_li.characters import character_by_label
 from dirichlet_li.errors import EmptyZeroList, NExceedsList, WDomainError
 from dirichlet_li.lfunc import ZeroList, ZeroRecord, find_zeros_merged
-from dirichlet_li.zerosum import (PartialSumParams, _tail_closed_form,
-                                  asymptotic_model, choose_T0, li_integral,
+from dirichlet_li.zerosum import (PartialSumParams, _kernel, _tail_closed_form,
+                                  asymptotic_model, choose_T0, fsum_rows, li_integral,
                                   li_zero_sum, partial_rh_report, tail_bound,
                                   zero_sum_prefix, zero_sum_values)
 
@@ -107,6 +109,62 @@ def test_errors():
         li_zero_sum(0, single_zero_list())
 
 
+def test_every_route_rejects_n_below_one():
+    # n is checked before the list, so an empty list still reports n
+    for zl in (single_zero_list(), empty_zero_list()):
+        for call in (lambda: zero_sum_values(zl, [-2]), lambda: zero_sum_values(zl, [1, 0]),
+                     lambda: zero_sum_prefix(-2, zl), lambda: li_zero_sum(0, zl),
+                     lambda: li_integral(0, zl)):
+            with pytest.raises(ValueError, match="need n >= 1"):
+                call()
+
+
+def test_zero_sum_values_equals_row_fsum(zeros_q3):
+    # the per-row math.fsum loop the vectorised sum replaced, bit for bit
+    ns = np.arange(1, 101)
+    w, u = _kernel(ns, zeros_q3)
+    reference = [math.fsum(w * row).hex() for row in u]
+    assert [v.hex() for v in zero_sum_values(zeros_q3, ns).tolist()] == reference
+
+
+def _assert_fsum_rows_exact(rows):
+    got = fsum_rows(np.array(rows, dtype=np.float64)).tolist()
+    assert [v.hex() for v in got] == [math.fsum(row).hex() for row in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.floats(min_value=-2.0 ** 900, max_value=2.0 ** 900),
+                         min_size=8, max_size=8), min_size=1, max_size=4))
+def test_fsum_rows_equals_fsum_on_any_floats(rows):
+    # zeros, signed zeros, subnormals and cancellation are all in reach
+    _assert_fsum_rows_exact(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(width=st.integers(1, 5000), lo=st.integers(-1074, 900), span=st.integers(0, 1974),
+       signed=st.booleans(), zero_share=st.sampled_from([0.0, 0.3, 1.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_fsum_rows_equals_fsum_on_wide_rows(width, lo, span, signed, zero_share, seed):
+    rng = np.random.default_rng(seed)
+    shape = (3, width)
+    terms = np.ldexp(rng.random(shape), rng.integers(lo, min(lo + span, 900) + 1, shape))
+    if signed:
+        terms *= rng.choice([-1.0, 1.0], shape)
+    terms[rng.random(shape) < zero_share] = 0.0
+    _assert_fsum_rows_exact(terms.tolist())
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_fsum_rows_rejects_non_finite_terms(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        fsum_rows(np.array([[1.0, 2.0], [3.0, bad]]))
+
+
+def test_fsum_rows_rejects_terms_whose_extraction_overflows():
+    with pytest.raises(ValueError, match="overflow"):
+        fsum_rows(np.array([[2.0 ** 1023, 1.0]]))
+
+
 @pytest.mark.parametrize("N", [0, -5])
 def test_zero_sum_rejects_nonpositive_N(N):
     # a negative N would slice records off the end of the list, and N = 0
@@ -160,6 +218,18 @@ def test_choose_T0_domain():
     # n=1, k=0: c = 4 pi / 9 > 1/e, below the branch point
     with pytest.raises(WDomainError):
         choose_T0(1, 0)
+
+
+@pytest.mark.parametrize("q", [3, 60])
+def test_choose_T0_above_the_branch_point_with_q(q):
+    # c = 4 pi / 9 > 1/e: every T >= e meets (log T)/T <= c, so the doubling
+    # starts at max(n, 3) = 3 instead of raising
+    T = choose_T0(1, 0, q)
+    assert T / 3 == 2 ** round(math.log2(T / 3))
+    assert tail_bound(1, T, q) <= 3
+    assert T == 3 or tail_bound(1, T / 2, q) > 3
+    if q == 60:
+        assert T == 3
 
 
 def test_choose_T0_post_check():
