@@ -74,7 +74,8 @@ def _select_character(q: int, label: int | None) -> DirichletCharacter:
 
 
 def _zero_source(args, chi: DirichletCharacter, n_max: int) -> ZeroList:
-    """Zero list from --zeros, or computed up to a tail-bound-driven height."""
+    """Zero list from --zeros, or computed up to a tail-bound-driven height,
+    doubled (to the cap) until the tail estimate for n_max meets its target."""
     if args.zeros:
         return read_zeros(args.zeros, chi_id=(chi.modulus, chi.label))
     k = args.k
@@ -92,7 +93,15 @@ def _zero_source(args, chi: DirichletCharacter, n_max: int) -> ZeroList:
         print(f"note: complex character {chi.modulus}.{chi.label}; using its "
               "upper-half-plane zeros with the factor-2 convention",
               file=sys.stderr)
-    return find_zeros_upper(chi, T)
+    zl = find_zeros_upper(chi, T)
+    # The estimate is taken at the last ordinate found, below T, where it may
+    # miss the target choose_T0 met at T, or not apply at all (below max(n, 3)).
+    target = 3 * 10.0 ** (-k)
+    while T < T_cap and not (len(zl) and zerosum.tail_bound(
+            n_max, zerosum._truncation(zl).T, chi.modulus) <= target):
+        T = min(2 * T, T_cap)
+        zl = find_zeros_upper(chi, T)
+    return zl
 
 
 def _emit_rows(rows: list[dict], fmt: str, out_path: str | None) -> None:

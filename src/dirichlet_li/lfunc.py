@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import chain, pairwise
 
 import mpmath
 import numpy as np
@@ -262,34 +261,8 @@ def write_zeros(path, zeros: ZeroList) -> None:
             fh.write(f"{gamma:.12g}\n" if alpha == 1 else f"{gamma:.12g} {alpha}\n")
 
 
-def _record_fault(line: str) -> str | None:
-    """Why a stripped record line `<gamma> [alpha]` does not parse, else None."""
-    fields = line.split()
-    try:
-        float(fields[0])
-        if len(fields) > 1:
-            int(fields[1])
-    except ValueError as exc:
-        return f"bad record {line!r}: {exc}"
-    if len(fields) > 2:
-        return f"too many fields in {line!r}"
-    return None
-
-
-def _parse_records(lines: list[str]) -> tuple[list[float], list[int] | int]:
-    """Ordinates and multiplicities (1 when no line has one) of record
-    lines; ValueError when any line does not parse."""
-    try:
-        return list(map(float, lines)), 1  # bare ordinates, the common case
-    except ValueError:
-        fields = [line.split() for line in lines]
-        if max(map(len, fields)) > 2:
-            raise
-        return [float(f[0]) for f in fields], [int(f[1]) if len(f) > 1 else 1 for f in fields]
-
-
 def read_zeros(path, chi_id: tuple[int, int] | None = None) -> ZeroList:
-    """Parse a zero file; `chi_id` (q, label) is checked when given.
+    r"""Parse a zero file; `chi_id` (q, label) is checked when given.
 
     The whole file is parsed before any rule is checked, and the first
     record line in the file that does not parse is the one reported.  Lines
@@ -297,28 +270,28 @@ def read_zeros(path, chi_id: tuple[int, int] | None = None) -> ZeroList:
     would also end them at \f, \v or \x85 and shift the line numbers."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = list(map(str.strip, fh.read().split("\n")))
-    # blank and header lines; every other line is a record.  "$" follows "#",
-    # so one comparison passes over a line that starts with a digit
-    skip = [i for i, line in enumerate(lines) if line < "$" and (not line or line[0] == "#")]
     header: dict[str, str] = {}
     header_line: dict[str, int] = {}
+    skip = [i for i, line in enumerate(lines) if not line or line[0] == "#"]  # blank, header
     for i in skip:
         for tok in lines[i][1:].split():
             if "=" in tok:
                 k, v = tok.split("=", 1)
                 header[k], header_line[k] = v, i + 1
-    edges = [-1, *skip, len(lines)]
-    record_lines = list(chain.from_iterable(lines[a + 1:b] for a, b in pairwise(edges)))
-
-    def lineno(k):  # of the k-th record
-        return int(np.delete(np.arange(1, len(lines) + 1), skip)[k])
-
+    record_idx = np.delete(np.arange(len(lines)), skip).tolist()  # every other line
     try:
-        gammas, alphas = _parse_records(record_lines)
-    except ValueError:
-        i, message = next((i, m) for i, line in enumerate(record_lines)
-                          if (m := _record_fault(line)))
-        raise ParseError(message, lineno(i)) from None
+        gammas, alphas = list(map(float, [lines[i] for i in record_idx])), 1  # bare ordinates
+    except ValueError:  # a multiplicity column or a fault: parse line by line
+        gammas, alphas = [], []
+        for i in record_idx:
+            parts = lines[i].split()
+            try:
+                gammas.append(float(parts[0]))
+                alphas.append(int(parts[1]) if len(parts) > 1 else 1)
+            except ValueError as exc:
+                raise ParseError(f"bad record {lines[i]!r}: {exc}", i + 1) from None
+            if len(parts) > 2:
+                raise ParseError(f"too many fields in {lines[i]!r}", i + 1)
 
     def field(key, kind):
         if key not in header:
@@ -346,4 +319,4 @@ def read_zeros(path, chi_id: tuple[int, int] | None = None) -> ZeroList:
     except ValueError:
         message, where = _zero_list_fault(records["gamma"], records["alpha"], height, provenance)
         raise ParseError(message, header_line[where] if isinstance(where, str)
-                         else lineno(where)) from None
+                         else record_idx[where] + 1) from None

@@ -201,23 +201,24 @@ def test_li_without_zero_file_notes_the_cap(capsys, monkeypatch):
     assert int(row["N"]) <= 60
 
 
-def test_li_without_zero_file_scans_low_where_every_height_qualifies(capsys, monkeypatch):
-    # n = 1, k = 0: (log T)/T <= 4 pi / 9 for every T >= e, so the chooser
-    # starts at max(n, 3) = 3, where the tail estimate is already 0.96 <= 3,
-    # instead of failing over to the 20,000-zero cap
+@pytest.mark.parametrize("n, T0, N", [(1, 3.0, "3"), (2, 3.896, "4")])
+def test_li_without_zero_file_scans_on_until_the_bound_meets_its_target(n, T0, N, capsys,
+                                                                       monkeypatch):
+    # The chooser's height T0 holds one ordinate of 60.14, 1.88, below
+    # max(n, 3), where the tail estimate does not apply; one doubling gives a
+    # bound within the 3 * 10^0 target.  For n = 1, (log T)/T <= 4 pi / 9 at
+    # every T >= e, so T0 = max(n, 3) instead of the 20,000-zero cap
     from dirichlet_li import cli
     heights = []
     scan = cli.find_zeros_upper
     monkeypatch.setattr(cli, "find_zeros_upper",
                         lambda chi, T: heights.append(T) or scan(chi, T))
     code, out, err = run(capsys, "li", "--q", "60", "--label", "14", "--method", "zeros",
-                         "--n", "1", "--k", "0", "--format", "csv")
-    assert heights == [3.0] and "note:" not in err
+                         "--n", str(n), "--k", "0", "--format", "csv")
+    assert heights == [pytest.approx(T0, abs=1e-3), 2 * heights[0]] and "note:" not in err
     row = dict(zip(CSV_COLUMNS, out.strip().splitlines()[1].split(",")))
-    # the estimate is taken at the one ordinate summed, 1.88 < 3, where it
-    # does not apply: the bound prints as inf and the exit code is 1
-    assert (row["N"], row["T"], row["bound_zeros"]) == ("1", "1.88060641688", "inf")
-    assert code == 1
+    assert row["N"] == N and 0 < float(row["bound_zeros"]) <= 3
+    assert code == 0
 
 
 def test_li_csv_round_trip(q3_zero_file, capsys):
