@@ -22,7 +22,7 @@ import mpmath
 import numpy as np
 
 from .characters import DirichletCharacter
-from .errors import ConductorOne, NotPrimitive
+from .errors import ConductorOne, NotPrimitive, OutOfDomain
 from .precision import PrecisionConfig, arith_precision
 from .primes import is_prime, prime_power_segments, prime_powers
 from .results import LiResult
@@ -159,9 +159,12 @@ def choose_M(n: int, nu: int) -> TruncationParams:
     (README, "Bound caveats"), so nu sets the cutoff, not the accuracy.  The
     W_{-1}-branch candidate (n/4) W_{-1}(-10^-nu / sqrt n)^2 + 4 n 10^(2 nu)
     is recorded for diagnostics when its argument is in the branch domain.
+    OutOfDomain when 9 n 10^(2 nu) reaches 2^62, past the int64 sieve.
     """
     if n < 1 or nu < 0:
         raise ValueError("need n >= 1 and nu >= 0")
+    if 9 * n * 100 ** min(nu, 9) >= 2 ** 62:  # nu >= 9 is past it at any n
+        raise OutOfDomain(f"cutoff 9 n 10^(2 nu) reaches 2^62 at n={n}, nu={nu}")
     target = 10.0 ** (-nu)
     candidate = None
     x = -(10.0 ** (-nu)) / math.sqrt(n)

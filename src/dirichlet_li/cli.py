@@ -2,11 +2,12 @@
 by either method, cross-method comparison, and reference-table reproduction.
 
 Characters are addressed as q.label (`--q 3 --label 1`); with only --q the
-quadratic (real primitive) character is selected.  CSV output is fixed-width
-in columns n, lambda_arith, bound_arith, M, lambda_zeros, bound_zeros, N, T,
-positive with 12 significant digits.  Exit status: 1 from `li` when an error
-estimate is infinite and from `compare` on a FAIL verdict, 2 on a usage or
-input error, else 0 (always 0 for `characters`, `zeros` and `table`).
+quadratic (real primitive) character is selected.  CSV output is
+comma-separated in columns n, lambda_arith, bound_arith, M, lambda_zeros,
+bound_zeros, N, T, positive with 12 significant digits.  Exit status: 1 from
+`li` when an error estimate is infinite and from `compare` on a FAIL verdict,
+2 on a usage or input error, else 0 (always 0 for `characters`, `zeros` and
+`table`).
 """
 
 from __future__ import annotations
@@ -74,34 +75,27 @@ def _select_character(q: int, label: int | None) -> DirichletCharacter:
 
 
 def _zero_source(args, chi: DirichletCharacter, n_max: int) -> ZeroList:
-    """Zero list from --zeros, or computed up to a tail-bound-driven height,
-    doubled (to the cap) until the tail estimate for n_max meets its target."""
+    """Zero list from --zeros, or scanned at the height `choose_T0` picks and
+    rescanned at twice the list's height, up to the cap, while the tail estimate
+    for n_max at the last ordinate found, below that height, misses 3*10^-k."""
     if args.zeros:
         return read_zeros(args.zeros, chi_id=(chi.modulus, chi.label))
-    k = args.k
     T_cap = height_for_count(chi.modulus, _MAX_ONTHEFLY_ZEROS)
-    try:
-        T = zerosum.choose_T0(max(n_max, 1), k, chi.modulus)
-    except DirichletLiError:
-        T = T_cap
+    T = zerosum.choose_T0(n_max, args.k, chi.modulus)
     if T > T_cap:
         print(f"note: capping zero scan at T={T_cap:.0f} "
-              f"(the 10^-{k} tail target wanted T={T:.0f}); "
+              f"(the 10^-{args.k} tail target wanted T={T:.0f}); "
               "pass --zeros FILE for longer lists", file=sys.stderr)
-        T = T_cap
     if not chi.is_real:
         print(f"note: complex character {chi.modulus}.{chi.label}; using its "
               "upper-half-plane zeros with the factor-2 convention",
               file=sys.stderr)
-    zl = find_zeros_upper(chi, T)
-    # The estimate is taken at the last ordinate found, below T, where it may
-    # miss the target choose_T0 met at T, or not apply at all (below max(n, 3)).
-    target = 3 * 10.0 ** (-k)
-    while T < T_cap and not (len(zl) and zerosum.tail_bound(
-            n_max, zerosum._truncation(zl).T, chi.modulus) <= target):
-        T = min(2 * T, T_cap)
-        zl = find_zeros_upper(chi, T)
-    return zl
+    while True:
+        zl = find_zeros_upper(chi, min(T, T_cap))
+        if zl.height >= T_cap or len(zl) and zerosum.tail_bound(
+                n_max, zerosum._truncation(zl).T, chi.modulus) <= 3 * 10.0 ** -args.k:
+            return zl
+        T = 2 * zl.height
 
 
 def _emit_rows(rows: list[dict], fmt: str, out_path: str | None) -> None:

@@ -34,13 +34,10 @@ import mpmath
 import numpy as np
 
 from .characters import DirichletCharacter
-from .errors import EmptyZeroList, NExceedsList, WDomainError
+from .errors import EmptyZeroList, NExceedsList, OutOfDomain, WDomainError
 from .lfunc import ZeroList
 from .results import LiResult
 from .specfun import lambert_w_m1
-
-# Doubling cap for the choose_T0 post-check (2^60 covers any sane target).
-_T0_MAX_DOUBLINGS = 60
 
 
 @dataclass(frozen=True)
@@ -180,28 +177,26 @@ def choose_T0(n: int, k_exp: int, q: int | None = None) -> float:
 
     When q is given the closed-form tail estimate is post-checked at T0 and
     the height doubled until it is <= 3*10^(-k) (the chooser controls only
-    the dominant (log T)/T term; the slack absorbs the rest).  Where
-    c > 1/e every T >= e meets the first condition, so with q given the
-    doubling starts at max(n, 3), the least height the estimate applies at.
+    the dominant (log T)/T term; the slack absorbs the rest); OutOfDomain
+    when no finite height gets there.  Where c > 1/e every T >= e meets the
+    first condition, so with q given the doubling starts at max(n, 3), the
+    least height the estimate applies at.
     """
     if n < 1 or k_exp < 0:
         raise ValueError("need n >= 1 and k_exp >= 0")
     c = 4 * math.pi / (9 * n * n) * 10.0 ** (-k_exp)
+    if c == 0:
+        raise OutOfDomain(f"(4 pi / 9 n^2) 10^-k underflows float64 at n={n}, k={k_exp}")
     if c <= 1 / math.e:
         T0 = float(-lambert_w_m1(-c) / c)
     elif q is not None:
         T0 = float(max(n, 3))
     else:
         raise WDomainError(f"-(4 pi / 9 n^2) 10^-k = {-c} below the branch point -1/e")
-    if q is not None:
-        target = 3 * 10.0 ** (-k_exp)
-        for _ in range(_T0_MAX_DOUBLINGS):
-            if tail_bound(n, T0, q) <= target:
-                break
-            T0 *= 2
-        else:
-            raise ArithmeticError(
-                f"tail bound did not reach {target} within {_T0_MAX_DOUBLINGS} doublings")
+    while q is not None and not tail_bound(n, T0, q) <= 3 * 10.0 ** (-k_exp):
+        if not math.isfinite(T0):
+            raise OutOfDomain(f"no finite height meets the tail target 3*10^-{k_exp} at n={n}")
+        T0 *= 2
     return T0
 
 

@@ -12,7 +12,7 @@ from dirichlet_li.arith import (TruncationParams, _kernel_sum_mp, choose_M,
                                 li_arith_sweep, prime_power_kernel_sum, tau_chi)
 from dirichlet_li.characters import (character_by_label, enumerate_characters,
                                      real_primitive_character)
-from dirichlet_li.errors import ConductorOne, NotPrimitive
+from dirichlet_li.errors import ConductorOne, NotPrimitive, OutOfDomain
 from dirichlet_li.precision import PrecisionConfig, arith_precision
 from dirichlet_li.primes import prime_powers
 
@@ -174,6 +174,13 @@ def test_choose_M_checks_nu_itself():
     for n in (12, 45):
         with pytest.raises(ValueError):
             choose_M(n, -1)
+
+
+@pytest.mark.parametrize("n, nu", [(1, 9), (1, 200), (1, 10 ** 9), (52, 8)])
+def test_choose_M_refuses_cutoffs_past_the_int64_sieve(n, nu):
+    # 9 n 10^(2 nu) >= 2^62: 9 * 10^18 at nu = 9, 4.68 * 10^18 at n = 52, nu = 8
+    with pytest.raises(OutOfDomain, match="2\\^62"):
+        choose_M(n, nu)
 
 
 # ----------------------------------------------------------------------------

@@ -221,6 +221,30 @@ def test_li_without_zero_file_scans_on_until_the_bound_meets_its_target(n, T0, N
     assert code == 0
 
 
+@pytest.mark.parametrize("command", ["li", "compare"])
+@pytest.mark.parametrize("k", [160, 310, 400])
+def test_unreachable_tail_target_exits_2_before_any_scan(command, k, capsys, monkeypatch):
+    # no finite height meets 3 * 10^-k: from k = 152 the tail estimate reads
+    # inf (2 T^2 overflows), and from k = 324 10^-k is 0
+    from dirichlet_li import cli
+
+    def no_scan(chi, T):
+        raise AssertionError("scanned zeros for an unreachable target")
+    monkeypatch.setattr(cli, "find_zeros_upper", no_scan)
+    code, out, err = run(capsys, command, "--q", "60", "--label", "14", "--n", "1",
+                         "--k", str(k), *(("--method", "zeros") if command == "li" else ()))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("nu", [9, 200])
+def test_li_nu_past_the_int64_sieve_exits_2(nu, capsys):
+    code, out, err = run(capsys, "li", "--q", "3", "--n", "1", "--method", "arith",
+                         "--nu", str(nu))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "2^62" in err
+
+
 def test_li_csv_round_trip(q3_zero_file, capsys):
     # re-parsing the CSV at 12 significant digits reproduces the fields
     code, out, _ = run(capsys, "li", "--q", "3", "--n", "1..4",

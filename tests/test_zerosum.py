@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirichlet_li.characters import character_by_label
-from dirichlet_li.errors import EmptyZeroList, NExceedsList, WDomainError
+from dirichlet_li.errors import EmptyZeroList, NExceedsList, OutOfDomain, WDomainError
 from dirichlet_li.lfunc import ZeroList, ZeroRecord, find_zeros_merged
 from dirichlet_li.zerosum import (PartialSumParams, _kernel, _tail_closed_form,
                                   asymptotic_model, choose_T0, fsum_rows, li_integral,
@@ -230,6 +230,12 @@ def test_choose_T0_above_the_branch_point_with_q(q):
     assert T == 3 or tail_bound(1, T / 2, q) > 3
     if q == 60:
         assert T == 3
+
+
+@pytest.mark.parametrize("k, q", [(160, 60), (400, 3)])
+def test_choose_T0_raises_where_no_finite_height_meets_the_target(k, q):
+    with pytest.raises(OutOfDomain):
+        choose_T0(1, k, q)
 
 
 def test_choose_T0_post_check():
