@@ -8,8 +8,9 @@ high-precision L / xi evaluation, a vectorized critical-line zero finder,
 zero-file I/O, and reproduction of published reference tables.
 """
 
-from .arith import (TruncationParams, choose_M, error_bound_EM, li_arith,
-                    li_arith_sweep, prime_power_kernel_sum, tau_chi)
+from .arith import (TruncationParams, choose_M, error_bound_EM,
+                    gamma_factor_terms, li_arith, li_arith_sweep,
+                    prime_power_kernel_sum)
 from .characters import (DirichletCharacter, GaussSumValue, character_by_label,
                          enumerate_characters, gauss_sum,
                          real_primitive_character)
@@ -31,10 +32,10 @@ __all__ = [
     "PrecisionConfig", "TruncationParams", "ZeroList", "ZeroRecord",
     "DirichletLiError", "asymptotic_model", "character_by_label", "choose_M",
     "choose_T0", "enumerate_characters", "error_bound_EM", "find_zeros",
-    "find_zeros_merged", "find_zeros_upper", "gauss_sum", "hardy_z",
-    "height_for_count", "l_value", "li_arith", "li_arith_sweep",
+    "find_zeros_merged", "find_zeros_upper", "gamma_factor_terms", "gauss_sum",
+    "hardy_z", "height_for_count", "l_value", "li_arith", "li_arith_sweep",
     "li_integral", "li_zero_sum", "li_zero_sum_sweep", "n_formula",
     "partial_rh_report", "prime_power_kernel_sum", "read_zeros",
-    "real_primitive_character", "tail_bound", "tau_chi", "write_zeros",
-    "xi_value", "zero_sum_prefix", "zero_sum_values", "__version__",
+    "real_primitive_character", "tail_bound", "write_zeros", "xi_value",
+    "zero_sum_prefix", "zero_sum_values", "__version__",
 ]

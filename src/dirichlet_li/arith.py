@@ -1,16 +1,18 @@
 """Unconditional Li coefficients by the arithmetic (prime-power) formula.
 
-lambda_chi(n) = (n/2)(log(q/pi) - gamma) + tau_chi(n)
+lambda_chi(n) = (n/2)(log(q/pi) - gamma) + tau(n)
                 - sum_{k} (Lambda(k)/k) chi(k) L^1_{n-1}(log k),
 
 truncated at prime powers k <= M, with M from `choose_M` and the published
-truncation estimate (not a bound).  The Laguerre-kernel form of the k-sum is
-the production path: `kernel_sums` evaluates it in float64 for all requested
-n in one pass over a segmented sieve to the largest cutoff.
-`prime_power_kernel_sum` evaluates the same form in big floats at every M
-and is the reference the sweep is tested against.  Only `tau_chi` runs in
-big floats; the main term, the kernel sum and their total are float64.  The
-raw alternating binomial double sum is kept only as a test oracle.
+truncation estimate (not a bound).  tau(n), the trivial-zero term, is an
+alternating binomial sum of zeta(j) that cancels about 2n bits; with the
+main term it is n [z^n] of the log Gamma factor, which `gamma_factor_terms`
+takes from one float64 FFT on a circle.  `kernel_sums` evaluates the k-sum
+in float64 for all requested n in one pass over a segmented sieve to the
+largest cutoff, so the value has no big-float step.
+`prime_power_kernel_sum` evaluates the same sum in big floats at every M
+and is the reference the sweep is tested against.  The raw alternating
+binomial double sum is kept only as a test oracle.
 """
 
 from __future__ import annotations
@@ -23,10 +25,11 @@ import numpy as np
 
 from .characters import DirichletCharacter
 from .errors import ConductorOne, NotPrimitive, OutOfDomain
+from .fastzeros import _im_log_gamma
 from .precision import PrecisionConfig, arith_precision
 from .primes import is_prime, prime_power_segments, prime_powers
 from .results import LiResult
-from .specfun import laguerre_L1, lambert_w_m1, zeta_int
+from .specfun import laguerre_L1, lambert_w_m1
 
 # Below this bound the |E_M| estimate is not in its stated regime.
 _BOUND_MIN_M = 16
@@ -44,32 +47,21 @@ class TruncationParams:
             raise ValueError("M must be >= 2")
 
 
-def tau_chi(n: int, parity_a: int, prec: PrecisionConfig | None = None) -> mpmath.mpf:
-    """Archimedean/trivial-zero term of the arithmetic formula.
+def gamma_factor_terms(n_max: int, q: int, a: int) -> np.ndarray:
+    """n (1/2)(log(q/pi) - gamma) + tau(n) for n = 0..n_max, in float64.
 
-    even chi (a=0): sum_{j=2}^n C(n,j)(-1)^j (1 - 2^-j) zeta(j) - (n/2) * 2 log 2
-    odd chi  (a=1): sum_{j=2}^n C(n,j)(-1)^j 2^-j zeta(j)
-
-    The constant sum_l 1/(l(2l-1)) telescopes to 2 log 2 (validated in the
-    tests against partial sums).  The alternating binomial sum cancels ~2n
-    bits and runs at elevated precision.
+    They are n [z^n] of g(z) = ((s+a)/2) log(q/pi) + log Gamma((s+a)/2) at
+    s = 1/(1 - z), analytic in |z| < 1.  The coefficients are real, so Im g
+    on the circle |z| = r determines them: the trapezoid rule at P points
+    (Bornemann, Found. Comput. Math. 11 (2011)), one real FFT.  r keeps the
+    rounding gain r^-n near e^3 and P the aliasing r^(P - 2n) below 1e-19.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if parity_a not in (0, 1):
-        raise ValueError("parity_a must be 0 or 1")
-    prec = prec or arith_precision(n, 2, 2)
-    with mpmath.workprec(prec.working_bits + 2 * n + 20):
-        total = mpmath.mpf(0)
-        wide = PrecisionConfig(working_bits=mpmath.mp.prec)
-        for j in range(2, n + 1):
-            zj = zeta_int(j, wide)
-            w = mpmath.mpf(2) ** (-j)
-            factor = w if parity_a == 1 else 1 - w
-            total += math.comb(n, j) * (-1) ** j * factor * zj
-        if parity_a == 0:
-            total -= n * mpmath.log(2)  # (n/2) * 2 log 2
-        return +total
+    r = 1 - 3 / max(n_max, 30)
+    P = 2 ** math.ceil(math.log2(2 * n_max + math.log(1e-19) / math.log(r)))
+    w = (1 / (1 - r * np.exp(2j * np.pi * np.arange(P) / P)) + a) / 2
+    im = w.imag * math.log(q / math.pi) + _im_log_gamma(w.real, w.imag)
+    n = np.arange(n_max + 1)
+    return -n * (2 / P) * np.fft.rfft(im)[:n_max + 1].imag / r ** n
 
 
 def prime_power_kernel_sum(n: int, chi: DirichletCharacter, M: int,
@@ -203,12 +195,9 @@ def _li_arith_many(ns, chi, params):
         raise ConductorOne("arithmetic formula requires conductor q > 1")
     if not chi.is_primitive:
         raise NotPrimitive("arithmetic formula requires a primitive character")
-    c = (math.log(chi.modulus / math.pi) - np.euler_gamma) / 2
     kernels = kernel_sums(ns, chi, [p.M for p in params])
-    # the largest n first: it needs the most bits, so each zeta(j) in tau_chi
-    # is computed once and merely rounded for the smaller n
-    tau = {n: float(tau_chi(n, chi.parity_a)) for n in sorted(set(ns), reverse=True)}
-    return [LiResult(n=n, value=float(n * c + tau[n] + k.real), method="arith",
+    terms = gamma_factor_terms(max(ns), chi.modulus, chi.parity_a)
+    return [LiResult(n=n, value=float(terms[n] + k.real), method="arith",
                      error_bound=error_bound_EM(n, p.M), params=p,
                      chi_id=(chi.modulus, chi.label), complex_character=not chi.is_real)
             for n, p, k in zip(ns, params, kernels)]

@@ -51,14 +51,14 @@ def _bernoulli_coeffs() -> np.ndarray:
                      for r in range(1, _R_MAX + 1)])
 
 
-def _im_log_gamma(x: float, y: np.ndarray) -> np.ndarray:
-    """Im log Gamma(x + iy), x > 0: Stirling's series to order 15 in real
-    parts, at x + 8 + iy less the arguments of x + j + iy, j < 8, where |y| < 8."""
+def _im_log_gamma(x, y: np.ndarray) -> np.ndarray:
+    """Im log Gamma(x + iy), x > 0 scalar or shaped like y: Stirling's series
+    to order 15 at x + 8 + iy less arg(x + j + iy), j < 8, where |y| < 8."""
     near = np.abs(y) < 8
     w = x + 8 * near + 1j * y
     # B_2k / (2k (2k-1)) = (B_2k / (2k)!) (2k-2)!, k = 8..1
     c = _bernoulli_coeffs()[7::-1] * [math.factorial(k) for k in range(14, -1, -2)]
-    shift = np.arctan2(y[..., None], x + np.arange(8)).sum(axis=-1)
+    shift = np.arctan2(y[..., None], np.asarray(x)[..., None] + np.arange(8)).sum(axis=-1)
     lg = ((w.real - 0.5) * np.angle(w) + y * (np.log(np.abs(w)) - 1)
           + (np.polyval(c, 1 / (w * w)) / w).imag)
     return lg - np.where(near, shift, 0.0)

@@ -33,10 +33,8 @@ class PrecisionConfig:
 
 
 def arith_precision(n: int, q: int, M: int) -> PrecisionConfig:
-    """Precision for arithmetic-formula calls.
-
-    The alternating binomial sum in tau_chi cancels roughly 2n bits and the
-    intermediate binomials grow like C(n, n/2) ~ 2^n, so the working precision
-    scales with n and with log2(q*M).
+    """Precision for the big-float kernel-sum reference
+    `prime_power_kernel_sum`: 64 + 2n + log2(qM) bits, enough for the
+    Laguerre values, which grow with n, and the sum over k <= M.
     """
     return PrecisionConfig(working_bits=64 + 2 * n + math.ceil(math.log2(max(2, q * M))))

@@ -1,10 +1,11 @@
-"""Special functions backing every formula in the package.
+"""Big-float special functions backing the package's formulas.
 
-Hurwitz zeta, its pole-free part at s = 1, integer zeta values, exact
-Bernoulli numbers, the Lambert W branch W_{-1} and log-Gamma are mpmath's,
-behind this package's domain checks and error types.  Chebyshev T
-(evaluated trigonometrically) and the associated Laguerre L^1 polynomials
-(by their upward recurrence) are evaluated here.
+Hurwitz zeta, its pole-free part at s = 1, exact Bernoulli numbers, the
+Lambert W branch W_{-1} and log-Gamma are mpmath's, behind this package's
+domain checks and error types.  Chebyshev T (evaluated trigonometrically)
+and the associated Laguerre L^1 polynomials (by their upward recurrence) are
+evaluated here.  The float64 log-Gamma of the zero finder and of the
+arithmetic route's Gamma-factor terms is `fastzeros._im_log_gamma`.
 
 All operations are pure.
 """
@@ -53,27 +54,6 @@ def hurwitz_zeta_minus_pole(a, prec: PrecisionConfig | None = None) -> mpmath.mp
         if not (0 < a <= 1):
             raise OutOfDomain(f"a must be in (0, 1], got {a}")
         return -mpmath.digamma(a)
-
-
-# j -> (working_bits, zeta(j)) at the highest precision asked for so far
-_zeta_int_cache: dict[int, tuple[int, mpmath.mpf]] = {}
-
-
-def zeta_int(j: int, prec: PrecisionConfig | None = None) -> mpmath.mpf:
-    """zeta(j) for integer j >= 2.
-
-    The memo keeps the most precise value per j and serves any lower
-    precision by rounding it."""
-    if j < 2:
-        raise ValueError("need j >= 2")
-    prec = prec or PrecisionConfig()
-    bits, val = _zeta_int_cache.get(j, (0, None))
-    with prec.workprec():
-        if bits >= prec.working_bits:
-            return +val
-        val = mpmath.zeta(j)
-    _zeta_int_cache[j] = (prec.working_bits, val)
-    return val
 
 
 # ----------------------------------------------------------------------------

@@ -67,7 +67,10 @@ def _kernel(n, zeros: ZeroList, N: int | None = None) -> tuple[np.ndarray, np.nd
         raise NExceedsList(f"requested N={N} but the list holds {len(zeros)}")
     factor = 2.0 if zeros.symmetric else 1.0
     theta = np.arctan(1.0 / (2.0 * zeros.gammas()[:N]))
-    return factor * zeros.alphas()[:N], 2.0 * np.sin(np.multiply.outer(n, theta)) ** 2
+    u = np.multiply.outer(n, theta)
+    np.square(np.sin(u, out=u), out=u)
+    u *= 2.0
+    return factor * zeros.alphas()[:N], u
 
 
 def _truncation(zeros: ZeroList, N: int | None = None) -> PartialSumParams:
@@ -184,7 +187,10 @@ def choose_T0(n: int, k_exp: int, q: int | None = None) -> float:
     """
     if n < 1 or k_exp < 0:
         raise ValueError("need n >= 1 and k_exp >= 0")
-    c = 4 * math.pi / (9 * n * n) * 10.0 ** (-k_exp)
+    try:
+        c = 4 * math.pi / (9 * n * n) * 10.0 ** (-k_exp)
+    except OverflowError:  # 9 n^2 past float64: c is below its range
+        c = 0.0
     if c == 0:
         raise OutOfDomain(f"(4 pi / 9 n^2) 10^-k underflows float64 at n={n}, k={k_exp}")
     if c <= 1 / math.e:

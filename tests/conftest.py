@@ -1,11 +1,15 @@
 """Shared fixtures: session-scoped zero lists, cached on disk under
 tests/.cache/finder-<FINDER_VERSION> so the expensive scans run once per
-checkout and a list is reused only by the finder version that made it."""
+checkout and a list is reused only by the finder version that made it; and
+the big-float oracle of the arithmetic route's Gamma-factor terms."""
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from dirichlet_li.characters import character_by_label, real_primitive_character
@@ -14,6 +18,20 @@ from dirichlet_li.lfunc import (find_zeros, find_zeros_upper, height_for_count,
                                 read_zeros, write_zeros)
 
 CACHE_DIR = Path(__file__).parent / ".cache" / f"finder-{FINDER_VERSION}"
+
+
+@lru_cache(maxsize=None)
+def binomial_term_oracle(n, q, a):
+    """n c + tau_chi(n), c = (log(q/pi) - gamma)/2, from the paper's alternating
+    binomial sum of zeta(j), at 2n + 100 bits to absorb its ~2n bits of
+    cancellation."""
+    with mpmath.workprec(2 * n + 100):
+        half = mpmath.mpf(1) / 2
+        tau = mpmath.fsum(math.comb(n, j) * (-1) ** j * (half ** j if a else 1 - half ** j)
+                          * mpmath.zeta(j) for j in range(2, n + 1))
+        if a == 0:
+            tau -= n * mpmath.log(2)  # (n/2) * 2 log 2
+        return float(n * (mpmath.log(mpmath.mpf(q) / mpmath.pi) - mpmath.euler) / 2 + tau)
 
 
 def _cached_zero_list(chi, count: int):

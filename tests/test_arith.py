@@ -1,4 +1,4 @@
-"""Arithmetic (prime-power) formula: tau term, kernel sum, truncation logic."""
+"""Arithmetic (prime-power) formula: Gamma-factor terms, kernel sum, truncation logic."""
 
 import math
 from functools import lru_cache
@@ -6,35 +6,62 @@ from functools import lru_cache
 import mpmath
 import pytest
 
-from dirichlet_li import primes, specfun
+from dirichlet_li import primes
 from dirichlet_li.arith import (TruncationParams, _kernel_sum_mp, choose_M,
-                                error_bound_EM, kernel_sums, li_arith,
-                                li_arith_sweep, prime_power_kernel_sum, tau_chi)
+                                error_bound_EM, gamma_factor_terms, kernel_sums,
+                                li_arith, li_arith_sweep, prime_power_kernel_sum)
 from dirichlet_li.characters import (character_by_label, enumerate_characters,
                                      real_primitive_character)
 from dirichlet_li.errors import ConductorOne, NotPrimitive, OutOfDomain
-from dirichlet_li.precision import PrecisionConfig, arith_precision
+from dirichlet_li.precision import arith_precision
 from dirichlet_li.primes import prime_powers
+
+from conftest import binomial_term_oracle
 
 
 # ----------------------------------------------------------------------------
-# tau term
+# Gamma-factor terms n c + tau_chi(n), c = (log(q/pi) - gamma)/2
+
+QS = [3, 5, 20, 60, 997]
+
+
+def _c(q):
+    return (math.log(q / math.pi) - float(mpmath.euler)) / 2
+
 
 def test_tau_n1_even():
-    # n=1, even chi: the j-sum is empty, leaving -log 2
-    with mpmath.workprec(120):
-        assert abs(tau_chi(1, 0) + mpmath.log(2)) < 1e-25
+    # n=1, even chi: the j-sum is empty, leaving c - log 2
+    for q in QS:
+        got, ref = gamma_factor_terms(1, q, 0)[1], _c(q) - math.log(2)
+        assert abs(got - ref) <= 1e-14 * max(1, abs(ref)), q
 
 
 def test_tau_n1_odd():
-    with mpmath.workprec(120):
-        assert abs(tau_chi(1, 1)) < 1e-25
+    for q in QS:
+        got, ref = gamma_factor_terms(1, q, 1)[1], _c(q)
+        assert abs(got - ref) <= 1e-14 * max(1, abs(ref)), q
 
 
 def test_tau_n2_odd():
     # n=2, odd chi: C(2,2) 2^-2 zeta(2) = pi^2/24
-    with mpmath.workprec(120):
-        assert abs(tau_chi(2, 1) - mpmath.pi ** 2 / 24) < 1e-25
+    for q in QS:
+        got, ref = gamma_factor_terms(2, q, 1)[2], 2 * _c(q) + math.pi ** 2 / 24
+        assert abs(got - ref) <= 1e-14 * max(1, abs(ref)), q
+
+
+@pytest.mark.parametrize("a", [0, 1])
+@pytest.mark.parametrize("q", QS)
+@pytest.mark.parametrize("n_max", [36, 224, 300])
+def test_gamma_factor_terms_match_binomial_oracle(n_max, q, a):
+    # at n_max = 224, 8 n_max + 256 points would alias at 6e-10
+    terms = gamma_factor_terms(n_max, q, a)
+    assert terms.shape == (n_max + 1,) and terms[0] == 0
+    for n in range(1, 37):
+        ref = binomial_term_oracle(n, q, a)
+        assert abs(terms[n] - ref) <= 1e-13 * abs(ref), (q, a, n)
+    for n in [m for m in (100, 224, 300) if m <= n_max]:
+        ref = binomial_term_oracle(n, q, a)
+        assert abs(terms[n] - ref) <= 1e-12 * abs(ref), (q, a, n)
 
 
 def test_even_constant_is_two_log_two():
@@ -45,14 +72,6 @@ def test_even_constant_is_two_log_two():
             partial = mpmath.fsum(mpmath.mpf(1) / (l * (2 * l - 1))
                                   for l in range(1, L + 1))
             assert abs(partial - target) < mpmath.mpf(1) / (2 * L)
-
-
-def test_tau_precision_doubling_stable():
-    # doubling the working precision must not move the value
-    lo = tau_chi(12, 0, PrecisionConfig(working_bits=96))
-    hi = tau_chi(12, 0, PrecisionConfig(working_bits=192))
-    with mpmath.workprec(200):
-        assert abs(lo - hi) < 1e-24
 
 
 # ----------------------------------------------------------------------------
@@ -269,34 +288,15 @@ def test_li_arith_is_one_element_sweep():
         assert r == li_arith(r.n, chi, choose_M(r.n, 1))
 
 
-def test_tau_independent_of_call_order(monkeypatch):
-    # the zeta(j) memo rounds its most precise value; cold runs in either
-    # order must give the same tau at the precisions the sweep uses
-    ns = range(1, 37)
-    precs = {n: arith_precision(n, 60, choose_M(n, 2).M) for n in ns}
-    runs = []
-    for order in (ns, reversed(ns)):
-        monkeypatch.setattr(specfun, "_zeta_int_cache", {})
-        runs.append({(n, a): tau_chi(n, a, precs[n]) for n in order for a in (0, 1)})
-    up, down = runs
-    for (n, a), v in up.items():
-        assert float(v) == float(down[n, a]), (n, a)
-        with mpmath.workprec(precs[n].working_bits + 20):
-            assert abs(v - down[n, a]) <= 2.0 ** -precs[n].working_bits * max(1, abs(v))
-
-
 @pytest.mark.parametrize("q,label", [(3, 1), (5, 1), (60, 14)])
-def test_sweep_float_sum_matches_big_float_sum(q, label):
-    # the float64 main term plus tau plus kernel against the same three terms
-    # added in big floats at arith_precision(n, q, M)
+def test_sweep_matches_kernel_plus_binomial_oracle(q, label):
+    # each value is the float64 kernel sum plus the Gamma-factor term, whose
+    # relative error against the paper's binomial sum is below 1e-13
     chi = character_by_label(q, label)
     ns = range(1, 37)
     params = [choose_M(n, 1) for n in ns]
     kernels = kernel_sums(ns, chi, [p.M for p in params])
-    for r, p, kernel in zip(li_arith_sweep(ns, chi, 1), params, kernels):
-        prec = arith_precision(r.n, q, p.M)
-        with prec.workprec(20):
-            main = mpmath.mpf(r.n) / 2 * (mpmath.log(mpmath.mpf(q) / mpmath.pi) - mpmath.euler)
-            ref = float(main + tau_chi(r.n, chi.parity_a, prec) + mpmath.mpf(kernel.real))
+    for r, kernel in zip(li_arith_sweep(ns, chi, 1), kernels):
+        term = binomial_term_oracle(r.n, q, chi.parity_a)
         assert type(r.value) is float
-        assert abs(r.value - ref) <= 16 * math.ulp(ref), (q, label, r.n)
+        assert abs(r.value - (term + kernel.real)) <= 1e-13 * (abs(term) + abs(kernel.real)), r.n

@@ -4,12 +4,12 @@ import math
 
 import pytest
 
-from dirichlet_li.arith import choose_M, li_arith
+from dirichlet_li.arith import choose_M, kernel_sums, li_arith
 from dirichlet_li.characters import character_by_label
 from dirichlet_li.cli import CSV_COLUMNS, _fmt, _parse_n_range, main
 from dirichlet_li.lfunc import write_zeros
 
-from conftest import CACHE_DIR
+from conftest import CACHE_DIR, binomial_term_oracle
 
 
 @pytest.fixture()
@@ -243,6 +243,27 @@ def test_li_nu_past_the_int64_sieve_exits_2(nu, capsys):
                          "--nu", str(nu))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and "2^62" in err
+
+
+def test_li_zeros_n_past_float64_exits_2(capsys):
+    # 9 n^2 no longer converts to a float above n = 1.3e154
+    code, out, err = run(capsys, "li", "--q", "3", "--method", "zeros", "--n", "1" + "0" * 160)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_li_arith_past_n_36_matches_binomial_oracle(capsys):
+    # the route end to end at n = 300 (M = 270,001): kernel sum plus the
+    # paper's binomial term, to the 12 printed digits
+    code, out, _ = run(capsys, "li", "--q", "3", "--method", "arith", "--nu", "1",
+                       "--n", "300..300", "--format", "csv")
+    assert code == 0
+    row = dict(zip(CSV_COLUMNS, out.strip().splitlines()[1].split(",")))
+    chi = character_by_label(3, 1)
+    M = int(row["M"])
+    assert M == choose_M(300, 1).M
+    ref = kernel_sums([300], chi, [M])[0].real + binomial_term_oracle(300, 3, chi.parity_a)
+    assert abs(float(row["lambda_arith"]) - ref) <= 1e-12 * abs(ref)
 
 
 def test_li_csv_round_trip(q3_zero_file, capsys):

@@ -3,7 +3,7 @@ argument outside its domain with the documented exception."""
 
 import pytest
 
-from dirichlet_li.arith import kernel_sums, prime_power_kernel_sum, tau_chi
+from dirichlet_li.arith import kernel_sums, prime_power_kernel_sum
 from dirichlet_li.characters import (character_by_label, enumerate_characters,
                                      real_primitive_character)
 from dirichlet_li.errors import NotPrimitive, OutOfDomain, PrincipalCharacter
@@ -12,7 +12,7 @@ from dirichlet_li.lfunc import find_zeros_upper, xi_value
 from dirichlet_li.precision import PrecisionConfig
 from dirichlet_li.results import LiResult
 from dirichlet_li.specfun import (bernoulli, chebyshev_T, hurwitz_zeta_minus_pole,
-                                  laguerre_L1, zeta_int)
+                                  laguerre_L1)
 from dirichlet_li.zerosum import PartialSumParams, asymptotic_model, choose_T0
 
 
@@ -35,8 +35,6 @@ def result(**kw):
 
 
 @pytest.mark.parametrize("call, exc", [
-    pytest.param(lambda: tau_chi(0, 0), ValueError, id="tau_chi-n0"),
-    pytest.param(lambda: tau_chi(2, 2), ValueError, id="tau_chi-parity2"),
     pytest.param(lambda: prime_power_kernel_sum(0, chi3(), 10), ValueError,
                  id="prime_power_kernel_sum-n0"),
     pytest.param(lambda: kernel_sums([1, 2], chi3(), [10]), ValueError,
@@ -54,7 +52,6 @@ def result(**kw):
     pytest.param(lambda: result(method="bogus"), ValueError, id="LiResult-method"),
     pytest.param(lambda: result(error_bound=-1.0), ValueError, id="LiResult-negative-bound"),
     pytest.param(lambda: bernoulli(-1), ValueError, id="bernoulli-minus1"),
-    pytest.param(lambda: zeta_int(1), ValueError, id="zeta_int-1"),
     pytest.param(lambda: chebyshev_T(-1, 0.5), ValueError, id="chebyshev_T-minus1"),
     pytest.param(lambda: laguerre_L1(-1, 1.0), ValueError, id="laguerre_L1-minus1"),
     pytest.param(lambda: hurwitz_zeta_minus_pole(0), OutOfDomain,

@@ -12,7 +12,7 @@ from dirichlet_li.errors import OutOfDomain, PoleAtOne
 from dirichlet_li.precision import PrecisionConfig
 from dirichlet_li.specfun import (bernoulli, chebyshev_T, hurwitz_zeta,
                                   hurwitz_zeta_minus_pole, lambert_w_m1,
-                                  laguerre_L1, log_gamma, zeta_int)
+                                  laguerre_L1, log_gamma)
 
 PREC = PrecisionConfig(working_bits=128)
 TOL = mpmath.mpf(2) ** (-128 + 12)
@@ -62,21 +62,6 @@ def test_hurwitz_minus_pole_is_minus_digamma():
         # at a = 1/2: -psi(1/2) = gamma + 2 log 2
         ref = mpmath.euler + 2 * mpmath.log(2)
         assert abs(hurwitz_zeta_minus_pole(0.5, PREC) - ref) < TOL
-
-
-# ----------------------------------------------------------------------------
-# integer zeta
-
-def test_zeta_int_values():
-    with mpmath.workprec(140):
-        assert abs(zeta_int(2, PREC) - mpmath.pi ** 2 / 6) < TOL
-        assert abs(zeta_int(4, PREC) - mpmath.pi ** 4 / 90) < TOL
-        # odd value against the independent Euler-Maclaurin route shifted:
-        # zeta(3) = (4/3) sum_{k odd} k^-3 has no closed form; compare with
-        # the direct slowly-converging sum accelerated by a tail integral
-        direct = mpmath.fsum(mpmath.mpf(k) ** -3 for k in range(1, 4000))
-        direct += mpmath.mpf(1) / (2 * 3999 ** 2) + mpmath.mpf("0.5") * 3999 ** -3
-        assert abs(zeta_int(3, PREC) - direct) < 1e-9
 
 
 # ----------------------------------------------------------------------------
