@@ -6,21 +6,23 @@ per-class Bernoulli tails), forms the phase-rotated real function whose sign
 changes are the critical-line zeros, and locates all zeros of one half plane
 up to a target height; `lfunc` checks how many it found.
 
-The leading Dirichlet sum has one evaluator, its Taylor expansion around
-centres (`leading_sum_taylor`); direct Z is the radius-0 case.  A scan with
-grid step h (h log(q t_max) <= pi) expands it around every cell midpoint, to
-radius h/2, from phases doubled along the midpoints; grid values, rescue
-sub-grids and safeguarded Newton steps read it by Horner in the cell holding
-them, add the directly evaluated tail and rotate by theta (`_rotated`).  An
+L(1/2 + it) has one evaluator, its Taylor expansion around centres
+(`leading_sum_taylor`); direct Z is the radius-0 case.  An expansion is the
+leading Dirichlet sum's, plus the Euler-Maclaurin tail's read off one
+Chebyshev interpolant per run of centres that shares one N, so no point
+evaluates the tail itself.  A scan with grid step h (h log(q t_max) <= pi)
+expands around every cell midpoint, to radius h/2, from phases doubled
+along the midpoints; grid values, rescue sub-grids and safeguarded Newton
+steps read it by Horner in the cell holding them and rotate by theta.  An
 ordinate is the midpoint of a float64 sign-change bracket no wider than
 1e-11, or than two float64 spacings above t = 2^15.  The Euler-Maclaurin
 truncation sits near 1e-13, but each phase t log m carries about one ulp of
 absolute error, so Z from different expansions, or from a cell expansion
-and direct `z_values`, differs by up to 4e-14 at t = 30, 4e-12 at t = 1500
-and 3e-11 at t = 8600 (3.1, 5.1 and 60.14, both half planes); the sign of a
-bracket end is not certain where |Z| is that small.  Tests compare Z and
-sampled zeros with the mpmath `hardy_z` and `xi_value` in `lfunc`; nothing
-certifies them.
+and direct `z_values`, differs by up to 4.3e-14 at t = 30, 4.3e-12 at
+t = 1500 and 2.7e-11 at t = 8600 (3.1, 5.1 and 60.14, both half planes);
+the sign of a bracket end is not certain where |Z| is that small.  Tests
+compare Z and sampled zeros with the mpmath `hardy_z` and `xi_value` in
+`lfunc`; nothing certifies them.
 """
 
 from __future__ import annotations
@@ -35,13 +37,23 @@ from .specfun import bernoulli
 
 # Bumped whenever a change to the finder can move the ordinates it returns;
 # caches of computed zero lists are keyed on it.
-FINDER_VERSION = 5
+FINDER_VERSION = 6
 
 _R_MAX = 40
 _NEWTON_TOL = 1e-11    # closed bracket width, or two float64 spacings above it
 _NEWTON_ITMAX = 80     # lockstep refinement passes at most
 _RESCUE_DEPTH = 32     # sub-cells of a grid cell holding a minimum of |Z|
 _CHUNK = 256           # M-long complex rows held per run of heights
+
+
+@functools.cache
+def _cheb_derivative(P: int) -> np.ndarray:
+    """(P, P) matrix taking Chebyshev coefficients to those of the derivative:
+    T_n' = 2n (T_(n-1) + T_(n-3) + ...), with T_0 counted once."""
+    m, n = np.indices((P, P))
+    D = np.where((m < n) & ((n - m) % 2 == 1), 2.0 * n, 0.0)
+    D[0] /= 2
+    return D
 
 
 @functools.cache
@@ -111,8 +123,10 @@ class FastLEvaluator:
         so the sum over classes is one matrix product of chi(a) x_a^(-s) with
         powers of N/x_a; scaling by N keeps the Pochhammer factors from
         overflowing.  The terms through the first below 1e-18 sqrt(N) at the
-        largest |t|, where |P_r| peaks, are kept; d/ds log P_r(s) is the sum of
-        1/(s+j) over its Pochhammer factors.
+        largest |t| of the call, where |P_r| peaks, are kept (for an
+        expansion the heights are its interpolation nodes, which span every
+        height it is read at); d/ds log P_r(s) is the sum of 1/(s+j) over its
+        Pochhammer factors.
         """
         s = 0.5 + 1j * t
         x = N + self.residues / self.q
@@ -142,6 +156,59 @@ class FastLEvaluator:
         # d/dt = i d/ds
         return tail * q_ms, 1j * q_ms * (dtail - math.log(self.q) * tail)
 
+    def _tail_taylor(self, centres: np.ndarray, radius: float, K: int, N: int):
+        """Taylor coefficients (len(centres), K) of the tail at N around each
+        centre, read off one Chebyshev interpolant (Trefethen, ATAP).
+
+        The tail is e^(-i t lam) g(t) with lam = log(q(N + 1/2)): every class
+        frequency log(qN + a) lies within 1/(2N) of lam, and the 1/(s-1) terms
+        cancel over a non-principal chi, so g is smooth on the scale of N.  g
+        is sampled at the n + 1 Chebyshev points of [min c - radius, max c +
+        radius], widened to width 2 at least, for n = 16, 32, .. 128 until its
+        last three Chebyshev coefficients fall below the rounding of the
+        sampled phases, 2^-52 (1 + max|t| lam) max|a|; the coefficients above
+        that level are kept.  The series, differentiated, gives g's Taylor
+        coefficients at each centre, which times those of e^(-i d lam) and the
+        carrier e^(-i c lam) are the tail's.
+        """
+        lam = math.log(self.q * (N + 0.5))
+        lo, hi = centres.min() - radius, centres.max() + radius
+        mid, half = 0.5 * (lo + hi), max(0.5 * (hi - lo), 1.0)
+        noise = 2.0 ** -52 * (1 + (abs(mid) + half) * lam)
+
+        def g(x):
+            t = mid + half * x
+            return self._tail_sum(t, N, derivative=False)[0] * np.exp(1j * lam * t)
+
+        n = 16
+        vals = g(np.cos(np.pi * np.arange(n + 1) / n))
+        while True:
+            # values at cos(pi j/n) to Chebyshev coefficients: one FFT (DCT-I)
+            a = np.fft.fft(np.concatenate([vals, vals[-2:0:-1]]))[:n + 1] / n
+            a[[0, n]] /= 2
+            size = np.abs(a)
+            if size[-3:].max() <= noise * size.max() or n == 128:
+                break
+            n *= 2
+            grown = np.empty(n + 1, dtype=np.complex128)
+            grown[::2] = vals
+            grown[1::2] = g(np.cos(np.pi * np.arange(1, n, 2) / n))
+            vals = grown
+        P = 1 + int(np.max(np.flatnonzero(size > noise * size.max()), initial=0))
+        # column k: the coefficients of g^(k) half^(-k) / k!, in d = t - c
+        A = np.empty((P, K), dtype=np.complex128)
+        A[:, 0] = a[:P]
+        D = _cheb_derivative(P)
+        for k in range(1, K):
+            A[:, k] = D @ A[:, k - 1] / (k * half)
+        # times the series of e^(-i d lam): (A E)[:, k] = sum_j A[:, j] (-i lam)^(k-j)/(k-j)!
+        e = np.cumprod(np.append(1.0, -1j * lam / np.arange(1, K)))
+        lag = np.arange(K) - np.arange(K)[:, None]
+        E = np.where(lag >= 0, e[np.maximum(lag, 0)], 0)
+        theta = np.arccos(np.clip((centres - mid) / half, -1.0, 1.0))
+        vander = np.cos(np.outer(theta, np.arange(P)))  # T_p at each centre
+        return np.exp(-1j * lam * centres)[:, None] * (vander @ (A @ E))
+
     # -- evaluation ------------------------------------------------------------
 
     def theta(self, t: np.ndarray) -> np.ndarray:
@@ -150,17 +217,6 @@ class FastLEvaluator:
         t = np.asarray(t, dtype=np.float64)
         return (0.5 * t * math.log(self.q / math.pi)
                 + _im_log_gamma((0.5 + self.a) / 2, 0.5 * t) - 0.5 * self.omega_angle)
-
-    def _rotated(self, t, S, dS, N):
-        """Z, and Z' unless dS is None, from the leading sum S of length phi(q)*N
-        and its t-derivative dS: adds the Euler-Maclaurin tail at the same N and
-        rotates by theta; Z' = Re[e^(i theta) L'] as i theta' Z is imaginary."""
-        tail, dtail = np.empty((2, t.size), dtype=np.complex128)
-        for n in np.unique(N):
-            i = np.flatnonzero(N == n)
-            tail[i], dtail[i] = self._tail_sum(t[i], int(n), dS is not None)
-        rot = np.exp(1j * self.theta(t))
-        return np.real(rot * (S + tail)), None if dS is None else np.real(rot * (dS + dtail))
 
     def z_and_derivative(self, t: np.ndarray):
         """Z(t) and Z'(t) for an arbitrary array of heights: the expansion of
@@ -171,7 +227,8 @@ class FastLEvaluator:
 
     def leading_sum_taylor(self, centres: np.ndarray, radius: float,
                            step: float | None = None):
-        """Taylor coefficients of the leading sum S around each centre.
+        """Taylor coefficients of L(1/2 + it) around each centre: the leading
+        sum S plus the Euler-Maclaurin tail at the same N.
 
         S(t) = sum_m chi(m) m^(-1/2) e^(-i t log m) is entire, so
         S(c + d) = sum_k coef[k] d^k with coef[k] = sum_m e^(-i c log m)
@@ -182,7 +239,8 @@ class FastLEvaluator:
         along the run, folded into the weights, are evaluated.  K is the least
         order >= 2 with (radius log m_max)^K / K! <= 2^-64 at the largest N, so
         for |d| <= radius the dropped orders are below 2^-64 sum |chi(m)|
-        m^(-1/2).  Returns the (n, K) complex coefficients and each N.
+        m^(-1/2).  Each run's tail comes from one interpolant (`_tail_taylor`).
+        Returns the (n, K) complex coefficients and each N.
         """
         c = np.asarray(centres, dtype=np.float64)
         n_max = self._em_n(float(np.max(np.abs(c), initial=0.0)) + radius)
@@ -204,9 +262,10 @@ class FastLEvaluator:
             idx = order[start:start + run]
             Ns[idx] = N = self._em_n(float(np.max(np.abs(c[idx]))) + radius)
             lm = logm[:self.residues.size * N]
+            tail = self._tail_taylor(c[idx], radius, K, N)
             if step is None:
                 block = np.outer(c[idx], -lm) * 1j
-                coef[idx] = np.exp(block, out=block) @ w[:lm.size]
+                coef[idx] = np.exp(block, out=block) @ w[:lm.size] + tail
                 continue
             # row i + jr of the run is row i of the block times e^(-i jr step log m)
             r = 2 ** round(math.log2(idx.size * K) / 2)
@@ -217,22 +276,26 @@ class FastLEvaluator:
             nb = -(-idx.size // r)
             shift = np.exp(-1j * (r * step) * np.outer(lm, np.arange(nb)))
             out = block @ (shift[:, :, None] * w[:lm.size, None, :]).reshape(lm.size, -1)
-            coef[idx] = out.reshape(r, nb, K).swapaxes(0, 1).reshape(-1, K)[:idx.size]
+            coef[idx] = out.reshape(r, nb, K).swapaxes(0, 1).reshape(-1, K)[:idx.size] + tail
         return coef, Ns
 
     def z_from_taylor(self, t, centres, coef, N):
         """Z and Z' at each t from the expansion (coef, N) of `leading_sum_taylor`
-        around its centre c: S and S' by Horner in t - c, plus the tail at N."""
+        around its centre c: L and L' by Horner in t - c, rotated by theta.  N
+        is each expansion's Euler-Maclaurin length, kept for bookkeeping; the
+        tail at that N is already in coef."""
         return self._from_taylor(t, centres, coef, N, derivative=True)
 
     def _from_taylor(self, t, centres, coef, N, derivative: bool):
-        """`z_from_taylor`, with Z' only if `derivative` (else None)."""
+        """`z_from_taylor`, with Z' only if `derivative` (else None); N is not
+        read.  Z' = Re[e^(i theta) L'], as i theta' Z is imaginary."""
         d = t - centres
-        S, dS = coef[:, -1], 0
+        L, dL = coef[:, -1], 0
         for k in range(coef.shape[1] - 2, -1, -1):
-            dS = dS * d + S
-            S = S * d + coef[:, k]
-        return self._rotated(t, S, dS if derivative else None, N)
+            dL = dL * d + L
+            L = L * d + coef[:, k]
+        rot = np.exp(1j * self.theta(t))
+        return np.real(rot * L), np.real(rot * dL) if derivative else None
 
     def z_values(self, t: np.ndarray) -> np.ndarray:
         return self.z_and_derivative(t)[0]

@@ -55,11 +55,12 @@ def prime_power_segments(limit: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     k = p^m <= limit with Lambda(k) = log p, as (k, log_p) int64/float64
     arrays in ascending blocks of SEGMENT integers.
 
-    A block flags its odd numbers only.  It starts as the wheel pattern at
-    its phase, clear of the multiples of 3, 5, 7, 11 and 13 (Pritchard),
-    and then loses the odd multiples of the other base primes up to
-    sqrt(limit), which this sieve lists first.  The prime 2 and the powers
-    p^m, m >= 2, are listed once and merged into the block they fall in.
+    A block flags its odd numbers only.  It starts as a slice, at its
+    phase, of the wheel pattern tiled once per call, clear of the multiples
+    of 3, 5, 7, 11 and 13 (Pritchard), and then loses the odd multiples of
+    the other base primes up to sqrt(limit), which this sieve lists first.
+    The prime 2 and the powers p^m, m >= 2, are listed once and merged into
+    the block they fall in.
     """
     if limit < 2:
         return
@@ -79,10 +80,13 @@ def prime_power_segments(limit: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     plog = np.log(np.array(pbase, dtype=np.float64))[order]
     beyond = base[base > 13]  # the base primes beyond the wheel
     squares = beyond * beyond
+    # the wheel tiled once, long enough that every block is one slice of it
+    tiled = np.resize(_WHEEL, _WHEEL.size + (min(SEGMENT, limit) + 1) // 2)
     for lo in range(2, limit + 1, SEGMENT):
         hi = min(lo + SEGMENT, limit + 1)  # this block is [lo, hi)
         first = lo | 1  # flags[i] is the odd number first + 2i
-        flags = np.resize(np.roll(_WHEEL, -(first // 2)), (hi - first + 1) // 2)
+        phase = first // 2 % _WHEEL.size
+        flags = tiled[phase:phase + (hi - first + 1) // 2].copy()
         if lo <= 13:  # the wheel primes themselves
             flags[[(w - first) // 2 for w in _WHEEL_PRIMES if lo <= w < hi]] = True
         p = beyond[:np.searchsorted(squares, hi)]

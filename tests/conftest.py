@@ -1,11 +1,13 @@
 """Shared fixtures: session-scoped zero lists, cached on disk under
 tests/.cache/finder-<FINDER_VERSION> so the expensive scans run once per
-checkout and a list is reused only by the finder version that made it; and
+checkout and a list is reused only by the finder version that made it (the
+directories of other versions go whenever this version writes a list); and
 the big-float oracle of the arithmetic route's Gamma-factor terms."""
 
 from __future__ import annotations
 
 import math
+import shutil
 from functools import lru_cache
 from pathlib import Path
 
@@ -45,6 +47,9 @@ def _cached_zero_list(chi, count: int):
     zl = find_zeros(chi, T) if chi.is_real else find_zeros_upper(chi, T)
     assert len(zl) >= count, (len(zl), count)
     CACHE_DIR.mkdir(parents=True, exist_ok=True)
+    for stale in CACHE_DIR.parent.glob("finder-*"):  # lists of other finder versions
+        if stale != CACHE_DIR:
+            shutil.rmtree(stale, ignore_errors=True)
     write_zeros(path, zl)
     # the 12-digit ordinates of the file, as a warm session reads them
     return read_zeros(path, chi_id=(chi.modulus, chi.label))

@@ -364,3 +364,86 @@ def test_scan_reads_one_expansion_set_on_the_grid_midpoints(q, label, monkeypatc
     monkeypatch.undo()
     assert np.allclose(t, np.arange(t.size) * h, rtol=0, atol=1e-12)
     assert np.all(np.abs(z - FastLEvaluator(chi).z_values(t)) <= 5e-15 * T + 1e-13)
+
+
+def _record_tail_runs(ev, monkeypatch):
+    """Wrap ev._tail_taylor; returns the list of (centres, radius, N, output)
+    of every run it is called for."""
+    runs = []
+    interpolate = ev._tail_taylor
+
+    def recorded(centres, radius, K, N):
+        out = interpolate(centres, radius, K, N)
+        runs.append((centres, radius, N, out))
+        return out
+
+    monkeypatch.setattr(ev, "_tail_taylor", recorded)
+    return runs
+
+
+@pytest.mark.parametrize("q, label, side", [(3, 1, 1), (5, 1, 1), (5, 1, -1), (60, 14, 1)])
+def test_tail_interpolant_matches_tail_sum(q, label, side, monkeypatch):
+    # the tail part of each cell expansion, read by Horner at 9 points across
+    # every cell, against the tail evaluated at those heights; T = 0 is a
+    # run that starts at t = 0
+    ev = FastLEvaluator(character_by_label(q, label))
+    runs = _record_tail_runs(ev, monkeypatch)
+    for T in (0.0, 30.0, 1500.0, 8600.0):
+        h = min(0.2, math.pi / math.log(q * max(T, 3.0)))
+        t0 = side * T - (300 * h if side < 0 else 0.0)
+        ev.leading_sum_taylor(t0 + (np.arange(300) + 0.5) * h, 0.5 * h, step=h)
+    assert len(runs) == 4
+    for centres, radius, N, tail in runs:
+        j = np.repeat(np.arange(centres.size), 9)
+        d = np.tile(np.linspace(-radius, radius, 9), centres.size)
+        value, slope = tail[j, -1], 0
+        for k in range(tail.shape[1] - 2, -1, -1):
+            slope = slope * d + value
+            value = value * d + tail[j, k]
+        ref, dref = ev._tail_sum(centres[j] + d, N, derivative=True)
+        # the sampled phases t log(qN + a) round to about 1e-11 at t = 8600;
+        # 50 times below the 5e-15 T + 1e-13 budget of the grid's Z
+        T = np.max(np.abs(centres))
+        assert np.all(np.abs(value - ref) <= 1e-16 * T + 1e-14), (q, label, T)
+        assert np.all(np.abs(slope - dref) <= 1e-15 * T + 1e-13), (q, label, T)
+
+
+@pytest.mark.parametrize("t", [0.0, 14.1, -222.5, 8600.4])
+def test_single_height_z_reads_the_tail_at_that_height(t, monkeypatch):
+    # z_values at one height: one run of zero width, whose tail part is the
+    # tail and its derivative at that height
+    ev = FastLEvaluator(character_by_label(5, 1))
+    runs = _record_tail_runs(ev, monkeypatch)
+    z = ev.z_values(np.array([t]))
+    assert z.shape == (1,) and len(runs) == 1
+    centres, radius, N, tail = runs[0]
+    assert radius == 0.0 and tail.shape == (1, 2) and N == ev._em_n(abs(t))
+    ref, dref = ev._tail_sum(np.array([t]), N, derivative=True)
+    assert abs(tail[0, 0] - ref[0]) <= 1e-16 * abs(t) + 1e-14
+    assert abs(tail[0, 1] - dref[0]) <= 1e-15 * abs(t) + 1e-13
+
+
+@pytest.mark.parametrize("q, label", [(3, 1), (60, 14)])
+def test_scan_samples_the_tail_at_few_heights(q, label, monkeypatch):
+    # the tail is sampled only at each run's interpolation nodes (at most 65
+    # where its carrier is divided out), not at each grid, rescue and Newton
+    # point, of which a scan has about 11 per zero
+    sampled, runs = [], []
+    tail, interpolate = FastLEvaluator._tail_sum, FastLEvaluator._tail_taylor
+
+    def counted_tail(self, t, N, derivative=True):
+        sampled.append(len(t))
+        return tail(self, t, N, derivative)
+
+    def counted_run(self, centres, radius, K, N):
+        before = len(sampled)
+        out = interpolate(self, centres, radius, K, N)
+        runs.append(sum(sampled[before:]))
+        return out
+
+    monkeypatch.setattr(FastLEvaluator, "_tail_sum", counted_tail)
+    monkeypatch.setattr(FastLEvaluator, "_tail_taylor", counted_run)
+    zeros = find_zeros_upper(character_by_label(q, label), height_for_count(q, 500))
+    assert len(zeros) >= 500 and runs
+    assert sum(sampled) == sum(runs) <= 65 * len(runs)
+    assert max(runs) <= 65 and sum(sampled) < len(zeros) / 2
