@@ -47,16 +47,6 @@ _CHUNK = 256           # M-long complex rows held per run of heights
 
 
 @functools.cache
-def _cheb_derivative(P: int) -> np.ndarray:
-    """(P, P) matrix taking Chebyshev coefficients to those of the derivative:
-    T_n' = 2n (T_(n-1) + T_(n-3) + ...), with T_0 counted once."""
-    m, n = np.indices((P, P))
-    D = np.where((m < n) & ((n - m) % 2 == 1), 2.0 * n, 0.0)
-    D[0] /= 2
-    return D
-
-
-@functools.cache
 def _bernoulli_coeffs() -> np.ndarray:
     """B_{2r}/(2r)! as float64, r = 1.._R_MAX."""
     return np.array([float(bernoulli(2 * r) / math.factorial(2 * r))
@@ -189,16 +179,17 @@ class FastLEvaluator:
             size = np.abs(a)
             if size[-3:].max() <= noise * size.max() or n == 128:
                 break
-            n *= 2
-            grown = np.empty(n + 1, dtype=np.complex128)
-            grown[::2] = vals
-            grown[1::2] = g(np.cos(np.pi * np.arange(1, n, 2) / n))
-            vals = grown
+            n *= 2  # the old nodes are the even ones of the new
+            new = g(np.cos(np.pi * np.arange(1, n, 2) / n))
+            vals = np.append(np.column_stack([vals[:-1], new]).ravel(), vals[-1])
         P = 1 + int(np.max(np.flatnonzero(size > noise * size.max()), initial=0))
-        # column k: the coefficients of g^(k) half^(-k) / k!, in d = t - c
+        # column k: the coefficients of g^(k) half^(-k) / k!, in d = t - c, by
+        # T_p' = 2p (T_(p-1) + T_(p-3) + ...) with T_0 counted once
+        i, p = np.indices((P, P))
+        D = np.where((i < p) & ((p - i) % 2 == 1), 2.0 * p, 0.0)
+        D[0] /= 2
         A = np.empty((P, K), dtype=np.complex128)
         A[:, 0] = a[:P]
-        D = _cheb_derivative(P)
         for k in range(1, K):
             A[:, k] = D @ A[:, k - 1] / (k * half)
         # times the series of e^(-i d lam): (A E)[:, k] = sum_j A[:, j] (-i lam)^(k-j)/(k-j)!
@@ -258,6 +249,9 @@ class FastLEvaluator:
         # N at each run's largest |c| + radius; with `step`, r ~ sqrt(K run)
         order = np.argsort(c)
         run = _CHUNK if step is None else _CHUNK ** 2 // (4 * K)
+        # with `step`, every run's block and weights share one buffer sized for
+        # the longest flattened sum, so runs do not grow and fragment the heap
+        work = np.empty(0, dtype=np.complex128)
         for start in range(0, c.size, run):
             idx = order[start:start + run]
             Ns[idx] = N = self._em_n(float(np.max(np.abs(c[idx]))) + radius)
@@ -269,13 +263,17 @@ class FastLEvaluator:
                 continue
             # row i + jr of the run is row i of the block times e^(-i jr step log m)
             r = 2 ** round(math.log2(idx.size * K) / 2)
-            block = np.empty((r, lm.size), dtype=np.complex128)
+            nb = -(-idx.size // r)
+            if work.size < (r + nb * K) * logm.size:
+                work = np.empty((r + nb * K) * logm.size, dtype=np.complex128)
+            block = work[:r * lm.size].reshape(r, lm.size)
             block[0] = np.exp(-1j * c[idx[0]] * lm)
             for n in 2 ** np.arange(r.bit_length() - 1):
                 np.multiply(block[:n], np.exp(-1j * (n * step) * lm), out=block[n:2 * n])
-            nb = -(-idx.size // r)
             shift = np.exp(-1j * (r * step) * np.outer(lm, np.arange(nb)))
-            out = block @ (shift[:, :, None] * w[:lm.size, None, :]).reshape(lm.size, -1)
+            weights = work[r * lm.size:(r + nb * K) * lm.size].reshape(lm.size, nb, K)
+            np.multiply(shift[:, :, None], w[:lm.size, None, :], out=weights)
+            out = block @ weights.reshape(lm.size, -1)
             coef[idx] = out.reshape(r, nb, K).swapaxes(0, 1).reshape(-1, K)[:idx.size] + tail
         return coef, Ns
 
