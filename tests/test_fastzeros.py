@@ -384,8 +384,8 @@ def _record_tail_runs(ev, monkeypatch):
 @pytest.mark.parametrize("q, label, side", [(3, 1, 1), (5, 1, 1), (5, 1, -1), (60, 14, 1)])
 def test_tail_interpolant_matches_tail_sum(q, label, side, monkeypatch):
     # the tail part of each cell expansion, read by Horner at 9 points across
-    # every cell, against the tail evaluated at those heights; T = 0 is a
-    # run that starts at t = 0
+    # every cell, against the tail evaluated at those heights; at T = 0 the
+    # run starts at t = 0 (ends there, below the axis)
     ev = FastLEvaluator(character_by_label(q, label))
     runs = _record_tail_runs(ev, monkeypatch)
     for T in (0.0, 30.0, 1500.0, 8600.0):
