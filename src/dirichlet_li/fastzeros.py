@@ -258,7 +258,8 @@ class FastLEvaluator:
             lm = logm[:self.residues.size * N]
             tail = self._tail_taylor(c[idx], radius, K, N)
             if step is None:
-                block = np.outer(c[idx], -lm) * 1j
+                block = np.zeros((idx.size, lm.size), dtype=np.complex128)
+                np.multiply.outer(c[idx], -lm, out=block.imag)
                 coef[idx] = np.exp(block, out=block) @ w[:lm.size] + tail
                 continue
             # row i + jr of the run is row i of the block times e^(-i jr step log m)
