@@ -22,8 +22,8 @@ from .arith import li_arith_sweep
 from .characters import (DirichletCharacter, character_by_label,
                          enumerate_characters, real_primitive_character)
 from .errors import DirichletLiError, InsufficientZeros
-from .lfunc import (ZeroList, find_zeros_upper, height_for_count, n_formula,
-                    read_zeros, write_zeros)
+from .lfunc import (ZeroList, find_zeros_merged, find_zeros_upper, height_for_count,
+                    n_formula, read_zeros, write_zeros)
 from .tables import TABLES
 
 CSV_COLUMNS = ("n", "lambda_arith", "bound_arith", "M",
@@ -40,8 +40,6 @@ def _fmt(x) -> str:
     if isinstance(x, bool):
         return "yes" if x else "no"
     if isinstance(x, float):
-        if math.isinf(x):
-            return "inf"
         return f"{x:.12g}"
     return str(x)
 
@@ -77,9 +75,14 @@ def _select_character(q: int, label: int | None) -> DirichletCharacter:
 def _zero_source(args, chi: DirichletCharacter, n_max: int) -> ZeroList:
     """Zero list from --zeros, or scanned at the height `choose_T0` picks and
     rescanned at twice the list's height, up to the cap, while the tail estimate
-    for n_max at the last ordinate found, below that height, misses 3*10^-k."""
+    for n_max at the last ordinate found, below that height, misses 3*10^-k.
+    A complex chi is scanned in both half planes, the cap applying to each."""
     if args.zeros:
-        return read_zeros(args.zeros, chi_id=(chi.modulus, chi.label))
+        zl = read_zeros(args.zeros, chi_id=(chi.modulus, chi.label))
+        if zl.symmetric and not chi.is_real:
+            print(f"note: complex character {chi.modulus}.{chi.label}; the factor-2 sum "
+                  "over a one-sided zero file is not Re lambda", file=sys.stderr)
+        return zl
     T_cap = height_for_count(chi.modulus, _MAX_ONTHEFLY_ZEROS)
     T = zerosum.choose_T0(n_max, args.k, chi.modulus)
     if T > T_cap:
@@ -87,11 +90,10 @@ def _zero_source(args, chi: DirichletCharacter, n_max: int) -> ZeroList:
               f"(the 10^-{args.k} tail target wanted T={T:.0f}); "
               "pass --zeros FILE for longer lists", file=sys.stderr)
     if not chi.is_real:
-        print(f"note: complex character {chi.modulus}.{chi.label}; using its "
-              "upper-half-plane zeros with the factor-2 convention",
-              file=sys.stderr)
+        print(f"note: complex character {chi.modulus}.{chi.label}; scanning both half "
+              "planes and summing each zero there once", file=sys.stderr)
     while True:
-        zl = find_zeros_upper(chi, min(T, T_cap))
+        zl = (find_zeros_upper if chi.is_real else find_zeros_merged)(chi, min(T, T_cap))
         if zl.height >= T_cap or len(zl) and zerosum.tail_bound(
                 n_max, zerosum._truncation(zl).T, chi.modulus) <= 3 * 10.0 ** -args.k:
             return zl

@@ -31,13 +31,14 @@ import functools
 import math
 
 import numpy as np
+from numpy.polynomial import chebyshev as C
 
 from .errors import PrincipalCharacter
 from .specfun import bernoulli
 
 # Bumped whenever a change to the finder can move the ordinates it returns;
 # caches of computed zero lists are keyed on it.
-FINDER_VERSION = 6
+FINDER_VERSION = 7
 
 _R_MAX = 40
 _NEWTON_TOL = 1e-11    # closed bracket width, or two float64 spacings above it
@@ -153,13 +154,14 @@ class FastLEvaluator:
         The tail is e^(-i t lam) g(t) with lam = log(q(N + 1/2)): every class
         frequency log(qN + a) lies within 1/(2N) of lam, and the 1/(s-1) terms
         cancel over a non-principal chi, so g is smooth on the scale of N.  g
-        is sampled at the n + 1 Chebyshev points of [min c - radius, max c +
-        radius], widened to width 2 at least, for n = 16, 32, .. 128 until its
-        last three Chebyshev coefficients fall below the rounding of the
-        sampled phases, 2^-52 (1 + max|t| lam) max|a|; the coefficients above
-        that level are kept.  The series, differentiated, gives g's Taylor
-        coefficients at each centre, which times those of e^(-i d lam) and the
-        carrier e^(-i c lam) are the tail's.
+        is interpolated in the n + 1 Chebyshev points (of the first kind) of
+        [min c - radius, max c + radius], widened to width 2 at least, for
+        n = 16, 32, 64 and 128 until its last three Chebyshev coefficients fall
+        below the rounding of the sampled phases, 2^-52 (1 + max|t| lam)
+        max|a|; the coefficients above that level are kept.  The tail's k-th
+        Taylor coefficient at c is e^(-i c lam) [(d/dt - i lam)^k g](c) / k!:
+        that operator is applied k times to the Chebyshev coefficients, and
+        the series summed at each centre.
         """
         lam = math.log(self.q * (N + 0.5))
         lo, hi = centres.min() - radius, centres.max() + radius
@@ -170,35 +172,19 @@ class FastLEvaluator:
             t = mid + half * x
             return self._tail_sum(t, N, derivative=False)[0] * np.exp(1j * lam * t)
 
-        n = 16
-        vals = g(np.cos(np.pi * np.arange(n + 1) / n))
-        while True:
-            # values at cos(pi j/n) to Chebyshev coefficients: one FFT (DCT-I)
-            a = np.fft.fft(np.concatenate([vals, vals[-2:0:-1]]))[:n + 1] / n
-            a[[0, n]] /= 2
+        for n in (16, 32, 64, 128):
+            a = C.chebinterpolate(g, n)
             size = np.abs(a)
-            if size[-3:].max() <= noise * size.max() or n == 128:
+            if size[-3:].max() <= noise * size.max():
                 break
-            n *= 2  # the old nodes are the even ones of the new
-            new = g(np.cos(np.pi * np.arange(1, n, 2) / n))
-            vals = np.append(np.column_stack([vals[:-1], new]).ravel(), vals[-1])
         P = 1 + int(np.max(np.flatnonzero(size > noise * size.max()), initial=0))
-        # column k: the coefficients of g^(k) half^(-k) / k!, in d = t - c, by
-        # T_p' = 2p (T_(p-1) + T_(p-3) + ...) with T_0 counted once
-        i, p = np.indices((P, P))
-        D = np.where((i < p) & ((p - i) % 2 == 1), 2.0 * p, 0.0)
-        D[0] /= 2
-        A = np.empty((P, K), dtype=np.complex128)
-        A[:, 0] = a[:P]
+        # column k: the coefficients of (d/dt - i lam)^k g / k!
+        D = C.chebder(np.eye(P + 1))[:, :P] / half - 1j * lam * np.eye(P)
+        A = [a[:P]]
         for k in range(1, K):
-            A[:, k] = D @ A[:, k - 1] / (k * half)
-        # times the series of e^(-i d lam): (A E)[:, k] = sum_j A[:, j] (-i lam)^(k-j)/(k-j)!
-        e = np.cumprod(np.append(1.0, -1j * lam / np.arange(1, K)))
-        lag = np.arange(K) - np.arange(K)[:, None]
-        E = np.where(lag >= 0, e[np.maximum(lag, 0)], 0)
-        theta = np.arccos(np.clip((centres - mid) / half, -1.0, 1.0))
-        vander = np.cos(np.outer(theta, np.arange(P)))  # T_p at each centre
-        return np.exp(-1j * lam * centres)[:, None] * (vander @ (A @ E))
+            A.append(D @ A[-1] / k)
+        vander = C.chebvander((centres - mid) / half, P - 1)
+        return np.exp(-1j * lam * centres)[:, None] * (vander @ np.column_stack(A))
 
     # -- evaluation ------------------------------------------------------------
 

@@ -51,6 +51,27 @@ def test_characters_rejects_nonpositive_modulus(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv, code", [(("characters", "--q", "5"), 0),
+                                        (("li", "--q", "6", "--n", "1", "--method", "arith"), 2)])
+def test_module_entry_point_exits_with_the_command_status(argv, code):
+    # main(argv=None) reads sys.argv and ends in sys.exit, in a fresh process
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
+    out = subprocess.run([sys.executable, "-m", "dirichlet_li.cli", *argv],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == code
+    if code:
+        assert out.stdout == "" and out.stderr.startswith("error: ")
+        assert out.stderr.count("\n") == 1
+    else:
+        assert out.stdout.splitlines()[0].split()[0] == "label" and out.stderr == ""
+
+
 # ----------------------------------------------------------------------------
 # zeros command
 
@@ -190,6 +211,32 @@ def test_li_without_zero_file_notes_a_complex_character(capsys):
     assert code == 0
     assert "note: complex character 5.1" in err
     assert out.strip().splitlines()[1].startswith("2,")
+
+
+def test_li_without_zero_file_sums_both_half_planes_of_a_complex_character(capsys):
+    # each zero of 5.1 in either half plane enters once, not the upper ones twice
+    from dirichlet_li.lfunc import find_zeros_merged
+    from dirichlet_li.zerosum import choose_T0, li_zero_sum_sweep
+    code, out, err = run(capsys, *ONTHEFLY_ARGS, "--q", "5", "--label", "1")
+    assert code == 0 and "both half planes" in err
+    zl = find_zeros_merged(character_by_label(5, 1), choose_T0(2, 0, 5))
+    [r] = li_zero_sum_sweep([2], zl)
+    row = dict(zip(CSV_COLUMNS, out.strip().splitlines()[1].split(",")))
+    assert [row[c] for c in ("lambda_zeros", "bound_zeros", "N", "T")] == [
+        _fmt(r.value), _fmt(r.error_bound), _fmt(r.params.N), _fmt(r.params.T)]
+
+
+def test_li_with_a_one_sided_zero_file_notes_a_complex_character(zeros_q5_complex, capsys):
+    # the file's upper-half-plane zeros keep the factor-2 sum on stdout
+    from dirichlet_li.lfunc import read_zeros
+    from dirichlet_li.zerosum import li_zero_sum_sweep
+    path = CACHE_DIR / "zeros_5_1.txt"
+    code, out, err = run(capsys, "li", "--q", "5", "--label", "1", "--method", "zeros",
+                         "--n", "2", "--zeros", str(path), "--format", "csv")
+    assert code == 0 and "not Re lambda" in err
+    [r] = li_zero_sum_sweep([2], read_zeros(path, chi_id=(5, 1)))
+    row = dict(zip(CSV_COLUMNS, out.strip().splitlines()[1].split(",")))
+    assert row["lambda_zeros"] == _fmt(r.value)
 
 
 def test_li_without_zero_file_notes_the_cap(capsys, monkeypatch):

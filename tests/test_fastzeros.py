@@ -423,6 +423,21 @@ def test_single_height_z_reads_the_tail_at_that_height(t, monkeypatch):
     assert abs(tail[0, 1] - dref[0]) <= 1e-15 * abs(t) + 1e-13
 
 
+@pytest.mark.parametrize("q, label", [(3, 1), (5, 1), (60, 14)])
+@pytest.mark.parametrize("T", [40.0, 1500.0, 8600.0])
+def test_wide_direct_run_reads_the_tail_at_each_height(q, label, T, monkeypatch):
+    # z_values at heights spanning [-T, T]: one run, up to 8 N wide, whose
+    # interpolant needs degree 32 from T = 1500 on
+    ev = FastLEvaluator(character_by_label(q, label))
+    runs = _record_tail_runs(ev, monkeypatch)
+    ev.z_values(np.linspace(-T, T, 41))
+    assert len(runs) == 1
+    for centres, radius, N, tail in runs:
+        ref, dref = ev._tail_sum(centres, N, derivative=True)
+        assert np.all(np.abs(tail[:, 0] - ref) <= 1e-16 * T + 1e-14)
+        assert np.all(np.abs(tail[:, 1] - dref) <= 1e-15 * T + 1e-13)
+
+
 @pytest.mark.parametrize("q, label", [(3, 1), (60, 14)])
 def test_scan_samples_the_tail_at_few_heights(q, label, monkeypatch):
     # the tail is sampled only at each run's interpolation nodes (at most 65
