@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import (InvalidModulus, LabelOutOfRange, NoRealPrimitiveCharacter,
                      NotPrimitive)
-from .precision import PrecisionConfig
+from .precision import DEFAULT_PRECISION, PrecisionConfig
 
 
 # ----------------------------------------------------------------------------
@@ -149,6 +149,13 @@ def _group_structure(q: int):
     return tuple(gen_orders), dlog
 
 
+@lru_cache(maxsize=None)
+def _root_of_unity(e: int, order: int, prec: PrecisionConfig) -> mpmath.mpc:
+    """exp(2 pi i e / order) at `prec`, shared by every character of that order."""
+    with prec.workprec():
+        return mpmath.expjpi(mpmath.mpf(2 * e) / order)
+
+
 @dataclass(frozen=True)
 class DirichletCharacter:
     """A Dirichlet character mod q with exact root-of-unity values.
@@ -208,23 +215,12 @@ class DirichletCharacter:
             raise ValueError("character is not real")
         return int(self.table[k % self.modulus])
 
-    def value(self, k: int, prec: PrecisionConfig | None = None) -> mpmath.mpc:
+    def value(self, k: int, prec: PrecisionConfig = DEFAULT_PRECISION) -> mpmath.mpc:
         """chi(k) as a big-float complex at the configured precision."""
         e = self.exponents[k % self.modulus]
         if e is None:
             return mpmath.mpc(0)
-        prec = prec or PrecisionConfig()
-        with prec.workprec():
-            key = (e, mpmath.mp.prec)
-            if key not in self._roots:
-                self._roots[key] = mpmath.expjpi(mpmath.mpf(2 * e) / self.order)
-            return self._roots[key]
-
-    @cached_property
-    def _roots(self) -> dict:
-        """`value`'s big-float roots of unity by (exponent, working precision):
-        at most `order` per precision."""
-        return {}
+        return _root_of_unity(e, self.order, prec)
 
     def __call__(self, k: int) -> complex:
         return complex(self.table[k % self.modulus])
@@ -309,14 +305,13 @@ class GaussSumValue:
     root_number_omega: mpmath.mpc
 
 
-def gauss_sum(chi: DirichletCharacter, prec: PrecisionConfig | None = None) -> GaussSumValue:
+def gauss_sum(chi: DirichletCharacter, prec: PrecisionConfig = DEFAULT_PRECISION) -> GaussSumValue:
     """tau(chi) = sum_m chi(m) e^(2 pi i m / q) by direct summation, plus the
     root number omega = tau / (sqrt(q) i^a).  Requires a primitive character
     (|tau| = sqrt(q) fails otherwise, silently breaking omega)."""
     if not chi.is_primitive:
         raise NotPrimitive(f"gauss_sum needs a primitive character, got conductor "
                            f"{chi.conductor} != modulus {chi.modulus}")
-    prec = prec or PrecisionConfig()
     q = chi.modulus
     with prec.workprec():
         tau = mpmath.mpc(0)

@@ -31,7 +31,6 @@ import functools
 import math
 
 import numpy as np
-from numpy.polynomial import chebyshev as C
 
 from .errors import PrincipalCharacter
 from .specfun import bernoulli
@@ -163,6 +162,8 @@ class FastLEvaluator:
         that operator is applied k times to the Chebyshev coefficients, and
         the series summed at each centre.
         """
+        # imported here, so that commands which never scan do not load it
+        from numpy.polynomial import chebyshev as C
         lam = math.log(self.q * (N + 0.5))
         lo, hi = centres.min() - radius, centres.max() + radius
         mid, half = 0.5 * (lo + hi), max(0.5 * (hi - lo), 1.0)

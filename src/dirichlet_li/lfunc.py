@@ -19,17 +19,16 @@ from . import fastzeros
 from .characters import DirichletCharacter
 from .errors import (CompletenessCheckFailed, ComplexCharacterUnsupported, ModulusMismatch,
                      NotPrimitive, ParseError, PrincipalCharacter)
-from .precision import PrecisionConfig
+from .precision import DEFAULT_PRECISION, PrecisionConfig
 from .specfun import hurwitz_zeta, hurwitz_zeta_minus_pole, log_gamma
 
 # ----------------------------------------------------------------------------
 # values
 
-def l_value(s, chi: DirichletCharacter, prec: PrecisionConfig | None = None) -> mpmath.mpc:
+def l_value(s, chi: DirichletCharacter, prec: PrecisionConfig = DEFAULT_PRECISION) -> mpmath.mpc:
     """L(s, chi) for non-principal chi, any s, via the Hurwitz decomposition."""
     if chi.is_principal:
         raise PrincipalCharacter("L(s, chi_0) has a pole; not supported")
-    prec = prec or PrecisionConfig()
     q = chi.modulus
     with prec.workprec(20):
         s = mpmath.mpc(s)
@@ -48,13 +47,12 @@ def l_value(s, chi: DirichletCharacter, prec: PrecisionConfig | None = None) -> 
         return +(q ** (-s) * total)
 
 
-def xi_value(s, chi: DirichletCharacter, prec: PrecisionConfig | None = None) -> mpmath.mpc:
+def xi_value(s, chi: DirichletCharacter, prec: PrecisionConfig = DEFAULT_PRECISION) -> mpmath.mpc:
     """Completed xi(s, chi) = (q/pi)^((s+a)/2) Gamma((s+a)/2) L(s, chi)."""
     if chi.is_principal:
         raise PrincipalCharacter("xi requires a non-principal character")
     if not chi.is_primitive:
         raise NotPrimitive("xi requires a primitive character")
-    prec = prec or PrecisionConfig()
     q = chi.modulus
     with prec.workprec(20):
         s = mpmath.mpc(s)
@@ -64,7 +62,7 @@ def xi_value(s, chi: DirichletCharacter, prec: PrecisionConfig | None = None) ->
                  * l_value(s, chi, prec))
 
 
-def hardy_z(t, chi: DirichletCharacter, prec: PrecisionConfig | None = None) -> mpmath.mpf:
+def hardy_z(t, chi: DirichletCharacter, prec: PrecisionConfig = DEFAULT_PRECISION) -> mpmath.mpf:
     """Z(t) = xi(1/2 + it, chi) for real primitive chi, whose root number is
     exactly 1 (Gauss: tau(chi) = sqrt(q) i^a), so no rotation is needed.
 
@@ -74,7 +72,6 @@ def hardy_z(t, chi: DirichletCharacter, prec: PrecisionConfig | None = None) -> 
     if not chi.is_real:
         raise ComplexCharacterUnsupported(
             "the rotation makes the completed function real only for chi = conj(chi)")
-    prec = prec or PrecisionConfig()
     with prec.workprec(20):
         xi = xi_value(mpmath.mpc(0.5, t), chi, prec)
         bound = mpmath.mpf(2) ** (-prec.working_bits // 2) * max(1, abs(xi))

@@ -1,7 +1,8 @@
 """Working-precision configuration for all big-float evaluation.
 
-Every high-precision operation takes a :class:`PrecisionConfig`: the binary
-working precision, to which the evaluating routine adds its guard bits.
+Every high-precision operation takes a :class:`PrecisionConfig`, the binary
+working precision to which it adds guard bits: `DEFAULT_PRECISION` (96 bits),
+or for `prime_power_kernel_sum` the `arith_precision` of its n, q and M.
 """
 
 from __future__ import annotations
@@ -15,13 +16,10 @@ import mpmath
 # rounded result meets the 2^(-working_bits + GUARD_BITS) remainder contract.
 GUARD_BITS = 10
 
-# Default working precision of PrecisionConfig (L / xi, chi.value, Gauss sums).
-DEFAULT_BITS = 96
-
 
 @dataclass(frozen=True)
 class PrecisionConfig:
-    working_bits: int = DEFAULT_BITS
+    working_bits: int = 96
 
     def __post_init__(self):
         if self.working_bits < 64:
@@ -30,6 +28,10 @@ class PrecisionConfig:
     def workprec(self, extra: int = GUARD_BITS):
         """Context manager setting mpmath precision to working_bits + extra."""
         return mpmath.workprec(self.working_bits + extra)
+
+
+# Frozen, so one instance is every big-float routine's default argument.
+DEFAULT_PRECISION = PrecisionConfig()
 
 
 def arith_precision(n: int, q: int, M: int) -> PrecisionConfig:

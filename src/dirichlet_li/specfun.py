@@ -17,7 +17,7 @@ from fractions import Fraction
 import mpmath
 
 from .errors import OutOfDomain, PoleAtOne
-from .precision import GUARD_BITS, PrecisionConfig
+from .precision import DEFAULT_PRECISION, GUARD_BITS, PrecisionConfig
 
 
 def bernoulli(n: int) -> Fraction:
@@ -30,9 +30,8 @@ def bernoulli(n: int) -> Fraction:
 # ----------------------------------------------------------------------------
 # Hurwitz zeta
 
-def hurwitz_zeta(s, a, prec: PrecisionConfig | None = None) -> mpmath.mpc:
+def hurwitz_zeta(s, a, prec: PrecisionConfig = DEFAULT_PRECISION) -> mpmath.mpc:
     """zeta(s, a) for a in (0, 1], s != 1."""
-    prec = prec or PrecisionConfig()
     with prec.workprec(GUARD_BITS + 10):
         s = mpmath.mpc(s)
         a = mpmath.mpf(a)
@@ -43,12 +42,11 @@ def hurwitz_zeta(s, a, prec: PrecisionConfig | None = None) -> mpmath.mpc:
         return mpmath.mpc(mpmath.zeta(s, a))
 
 
-def hurwitz_zeta_minus_pole(a, prec: PrecisionConfig | None = None) -> mpmath.mpf:
+def hurwitz_zeta_minus_pole(a, prec: PrecisionConfig = DEFAULT_PRECISION) -> mpmath.mpf:
     """lim_{s->1} [zeta(s, a) - 1/(s-1)]  (equals -psi(a)).
 
     Needed where the simple pole cancels across a character sum.
     """
-    prec = prec or PrecisionConfig()
     with prec.workprec(GUARD_BITS + 10):
         a = mpmath.mpf(a)
         if not (0 < a <= 1):
@@ -59,9 +57,8 @@ def hurwitz_zeta_minus_pole(a, prec: PrecisionConfig | None = None) -> mpmath.mp
 # ----------------------------------------------------------------------------
 # Lambert W, branch W_{-1}
 
-def lambert_w_m1(x, prec: PrecisionConfig | None = None) -> mpmath.mpf:
+def lambert_w_m1(x, prec: PrecisionConfig = DEFAULT_PRECISION) -> mpmath.mpf:
     """W_{-1}(x) for x in [-1/e, 0): the real branch with W <= -1."""
-    prec = prec or PrecisionConfig()
     with prec.workprec():
         x = mpmath.mpf(x)
         minus_inv_e = -mpmath.exp(-1)
@@ -77,7 +74,7 @@ def lambert_w_m1(x, prec: PrecisionConfig | None = None) -> mpmath.mpf:
 
 # ----------------------------------------------------------------------------
 # Chebyshev and Laguerre polynomials
-def chebyshev_T(n: int, x, prec: PrecisionConfig | None = None) -> mpmath.mpf:
+def chebyshev_T(n: int, x, prec: PrecisionConfig = DEFAULT_PRECISION) -> mpmath.mpf:
     """T_n(x) = cos(n arccos x) on [-1, 1].
 
     Evaluated trigonometrically rather than by the three-term recurrence:
@@ -87,7 +84,6 @@ def chebyshev_T(n: int, x, prec: PrecisionConfig | None = None) -> mpmath.mpf:
     """
     if n < 0:
         raise ValueError("need n >= 0")
-    prec = prec or PrecisionConfig()
     with prec.workprec(GUARD_BITS + 20 + max(1, n).bit_length()):
         x = mpmath.mpf(x)
         if abs(x) > 1:
@@ -95,7 +91,7 @@ def chebyshev_T(n: int, x, prec: PrecisionConfig | None = None) -> mpmath.mpf:
         return +mpmath.cos(n * mpmath.acos(x))
 
 
-def laguerre_L1(n_minus_1: int, x, prec: PrecisionConfig | None = None) -> mpmath.mpf:
+def laguerre_L1(n_minus_1: int, x, prec: PrecisionConfig = DEFAULT_PRECISION) -> mpmath.mpf:
     """Associated Laguerre polynomial L^1_{n-1}(x) for x >= 0.
 
     Stable upward recurrence (k+1) L_{k+1} = (2k+2-x) L_k - (k+1) L_{k-1}
@@ -104,7 +100,6 @@ def laguerre_L1(n_minus_1: int, x, prec: PrecisionConfig | None = None) -> mpmat
     """
     if n_minus_1 < 0:
         raise ValueError("degree must be >= 0")
-    prec = prec or PrecisionConfig()
     with prec.workprec():
         x = mpmath.mpf(x)
         if x < 0:
@@ -120,9 +115,8 @@ def laguerre_L1(n_minus_1: int, x, prec: PrecisionConfig | None = None) -> mpmat
 # ----------------------------------------------------------------------------
 # log-Gamma -- used by the completed L-function
 
-def log_gamma(z, prec: PrecisionConfig | None = None) -> mpmath.mpc:
+def log_gamma(z, prec: PrecisionConfig = DEFAULT_PRECISION) -> mpmath.mpc:
     """Principal branch of log Gamma(z) away from the poles z = 0, -1, -2, ..."""
-    prec = prec or PrecisionConfig()
     with prec.workprec(GUARD_BITS + 10):
         z = mpmath.mpc(z)
         if mpmath.re(z) <= 0 and mpmath.im(z) == 0 and mpmath.re(z) == mpmath.floor(mpmath.re(z)):

@@ -295,6 +295,29 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_defers_numpy_polynomial_to_the_scan():
+    import os
+    import subprocess
+    import sys
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
+    # numpy before 2.0 loads numpy.polynomial itself; only what the package
+    # adds to a bare `import numpy` is its own
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, numpy\n"
+         "polynomial = lambda: {m for m in sys.modules if m.startswith('numpy.polynomial')}\n"
+         "bare = polynomial()\n"
+         "import dirichlet_li.cli\n"
+         "print(sorted(polynomial() - bare))\n"
+         "from dirichlet_li.characters import character_by_label\n"
+         "from dirichlet_li.fastzeros import scan_zeros\n"
+         "scan_zeros(character_by_label(3, 1), 30.0)\n"
+         "print('numpy.polynomial.chebyshev' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["[]", "True"]
+
+
 @pytest.mark.parametrize("q, label", [(3, 1), (5, 1), (60, 14)])
 @pytest.mark.parametrize("side", [1, -1])
 def test_cell_expansions_give_direct_z_on_the_grid(q, label, side):
