@@ -21,9 +21,8 @@ from .lfunc import (ZeroList, ZeroRecord, find_zeros, find_zeros_merged,
 from .precision import PrecisionConfig
 from .results import LiResult
 from .zerosum import (PartialSumParams, asymptotic_model, choose_T0,
-                      li_integral, li_zero_sum, li_zero_sum_sweep,
-                      partial_rh_report, tail_bound, zero_sum_prefix,
-                      zero_sum_values)
+                      li_zero_sum, li_zero_sum_sweep, partial_rh_report,
+                      tail_bound, zero_sum_prefix, zero_sum_values)
 
 __version__ = "0.1.0"
 
@@ -34,7 +33,7 @@ __all__ = [
     "choose_T0", "enumerate_characters", "error_bound_EM", "find_zeros",
     "find_zeros_merged", "find_zeros_upper", "gamma_factor_terms", "gauss_sum",
     "hardy_z", "height_for_count", "l_value", "li_arith", "li_arith_sweep",
-    "li_integral", "li_zero_sum", "li_zero_sum_sweep", "n_formula",
+    "li_zero_sum", "li_zero_sum_sweep", "n_formula",
     "partial_rh_report", "prime_power_kernel_sum", "read_zeros",
     "real_primitive_character", "tail_bound", "write_zeros", "xi_value",
     "zero_sum_prefix", "zero_sum_values", "__version__",

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-METHODS = ("arith", "zero_sum", "integral")
+METHODS = ("arith", "zero_sum")
 
 
 @dataclass(frozen=True)
@@ -15,7 +15,7 @@ class LiResult:
     `error_bound` is the route's estimate, not a certified bound (see the
     README's "Bound caveats"), and may be +inf when the formula is outside
     its validity regime; `conditional` marks values that presuppose the
-    Riemann hypothesis (zero-sum and integral methods).
+    Riemann hypothesis (the zero-sum method).
     """
 
     n: int

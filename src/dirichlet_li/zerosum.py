@@ -21,8 +21,7 @@ lists flagged symmetric=false (e.g. merged chi / conj(chi) spectra for a
 complex character) are summed without it.
 
 Also here: the closed-form tail estimate with its Lambert-W height chooser,
-the step-function integral form (piecewise-exact from the same kernel), the
-partial-RH positivity report, and the two-term asymptotic model
+the partial-RH positivity report, and the two-term asymptotic model
 (1/2) n log n + c_chi n.
 """
 
@@ -172,27 +171,6 @@ def choose_T0(n: int, k_exp: int, q: int | None = None) -> float:
             raise OutOfDomain(f"no finite height meets the tail target 3*10^-{k_exp} at n={n}")
         T0 *= 2
     return T0
-
-
-def li_integral(n: int, zeros: ZeroList) -> LiResult:
-    """lambda_chi(n) as 32n Int_0^inf g (4g^2+1)^(-2) N_chi(g) U_{n-1}(x(g)) dg
-    with the step zero-counting function, evaluated exactly piecewise.
-
-    On each interval where N_chi is the constant c, the substitution
-    x = (4g^2-1)/(4g^2+1) and Int U_{n-1} dx = T_n/n reduce the piece to
-    2c [T_n(x_right) - T_n(x_left)] = 2c (u_left - u_right) in the kernel's
-    u = 1 - T_n; the step function starts at the first zero and the last
-    piece runs to x -> 1 where u -> 0.  The total telescopes (Abel
-    summation) to the Chebyshev zero sum.  The tests integrate the formula
-    itself with mpmath.quad, piece by piece over [0, inf), and compare.
-    """
-    w, u = _kernel(n, zeros)
-    counts = np.cumsum(w)
-    pieces = counts * (u - np.append(u[1:], 0.0))
-    params = _truncation(zeros)
-    return LiResult(n=n, value=float(pieces.sum()), method="integral",
-                    error_bound=tail_bound(n, params.T, zeros.chi_id[0]),
-                    params=params, chi_id=zeros.chi_id, conditional=True)
 
 
 @dataclass(frozen=True)

@@ -24,3 +24,9 @@ def test_package_imports_no_scipy():
              for name in _imported_modules(ast.parse(path.read_text()))
              if name.split(".")[0] == "scipy"]
     assert found == []
+
+
+def test_every_exported_name_resolves():
+    # a stale name in __all__ would make `from dirichlet_li import *` raise
+    missing = [name for name in dirichlet_li.__all__ if not hasattr(dirichlet_li, name)]
+    assert missing == []

@@ -10,7 +10,7 @@ from dirichlet_li.errors import NotPrimitive, OutOfDomain, PrincipalCharacter
 from dirichlet_li.fastzeros import FastLEvaluator
 from dirichlet_li.lfunc import find_zeros_upper, xi_value
 from dirichlet_li.precision import PrecisionConfig
-from dirichlet_li.results import LiResult
+from dirichlet_li.results import METHODS, LiResult
 from dirichlet_li.specfun import (bernoulli, chebyshev_T, hurwitz_zeta_minus_pole,
                                   laguerre_L1)
 from dirichlet_li.zerosum import PartialSumParams, asymptotic_model, choose_T0
@@ -66,3 +66,10 @@ def result(**kw):
 def test_input_check_raises(call, exc):
     with pytest.raises(exc):
         call()
+
+
+def test_li_result_has_two_methods():
+    # the integral form is not a separate method: it equals the zero sum
+    assert METHODS == ("arith", "zero_sum")
+    with pytest.raises(ValueError, match="unknown method 'integral'"):
+        result(method="integral")

@@ -1,7 +1,6 @@
-"""Zero-sum Li coefficients: partial sums, tail bound, integral form, report."""
+"""Zero-sum Li coefficients: partial sums, tail bound, report."""
 
 import math
-import random
 
 import mpmath
 import numpy as np
@@ -11,9 +10,9 @@ from dirichlet_li.characters import character_by_label
 from dirichlet_li.errors import EmptyZeroList, NExceedsList, OutOfDomain, WDomainError
 from dirichlet_li.lfunc import ZeroList, ZeroRecord, find_zeros_merged
 from dirichlet_li.zerosum import (PartialSumParams, _kernel, _tail_closed_form,
-                                  asymptotic_model, choose_T0, li_integral,
-                                  li_zero_sum, partial_rh_report, tail_bound,
-                                  zero_sum_prefix, zero_sum_values)
+                                  asymptotic_model, choose_T0, li_zero_sum,
+                                  partial_rh_report, tail_bound, zero_sum_prefix,
+                                  zero_sum_values)
 
 FIRST_GAMMA = 8.03973715
 
@@ -111,8 +110,7 @@ def test_every_route_rejects_n_below_one():
     # n is checked before the list, so an empty list still reports n
     for zl in (single_zero_list(), empty_zero_list()):
         for call in (lambda: zero_sum_values(zl, [-2]), lambda: zero_sum_values(zl, [1, 0]),
-                     lambda: zero_sum_prefix(-2, zl), lambda: li_zero_sum(0, zl),
-                     lambda: li_integral(0, zl)):
+                     lambda: zero_sum_prefix(-2, zl), lambda: li_zero_sum(0, zl)):
             with pytest.raises(ValueError, match="need n >= 1"):
                 call()
 
@@ -231,26 +229,7 @@ def test_choose_T0_post_check_doubles(n, k, doublings, height):
 
 
 # ----------------------------------------------------------------------------
-# integral form
-
-def test_integral_equals_zero_sum(zeros_q3):
-    rng = random.Random(7)
-    for _ in range(20):
-        n = rng.randint(1, 40)
-        N = rng.randint(1, len(zeros_q3))
-        sub = ZeroList(chi_id=zeros_q3.chi_id,
-                       records=zeros_q3.records[:N],
-                       height=zeros_q3.records[N - 1].gamma,
-                       provenance="computed")
-        a = li_integral(n, sub)
-        b = li_zero_sum(n, sub)
-        assert a.value == pytest.approx(b.value, rel=1e-12, abs=1e-12), (n, N)
-
-
-def test_integral_single_zero_closed_form():
-    res = li_integral(1, single_zero_list(gamma=10.0))
-    assert res.value == pytest.approx(4 / 401, rel=1e-12)
-
+# the paper's integral form
 
 def _integral_by_quadrature(n, zeros):
     """The integral form itself, 16n Int_0^inf g (4g^2+1)^(-2) C(g)
@@ -273,22 +252,19 @@ def _integral_by_quadrature(n, zeros):
             for a, b, c in zip(ends, ends[1:], counts)))
 
 
-def test_integral_matches_mpmath_quadrature(zeros_q3):
-    # the piecewise-exact evaluation against a quadrature of the formula over
-    # [0, inf), on a symmetric list (factor 2) and a merged one (factor 1)
+def test_integral_form_by_quadrature_equals_zero_sum(zeros_q3):
+    # with the step zero-counting function the integral form telescopes, by
+    # Abel summation, to the Chebyshev zero sum; checked on a symmetric list
+    # (factor 2) and a merged one (factor 1)
     sub = ZeroList(chi_id=zeros_q3.chi_id, records=zeros_q3.records[:50],
                    height=zeros_q3.records[49].gamma, provenance="computed")
     merged = find_zeros_merged(character_by_label(5, 1), 60.0)
     assert len(merged) == 55 and not merged.symmetric
     for zl, ns in ((sub, (1, 2, 8, 36)), (merged, (1, 8))):
-        for n in ns:
-            assert li_integral(n, zl).value == pytest.approx(
-                _integral_by_quadrature(n, zl), rel=1e-13, abs=0), (zl.chi_id, n)
-
-
-def test_integral_empty():
-    with pytest.raises(EmptyZeroList):
-        li_integral(1, empty_zero_list())
+        values = zero_sum_values(zl, ns)
+        for n, v in zip(ns, values):
+            assert v == pytest.approx(_integral_by_quadrature(n, zl),
+                                      rel=1e-13, abs=0), (zl.chi_id, n)
 
 
 # ----------------------------------------------------------------------------
