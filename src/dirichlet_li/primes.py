@@ -1,12 +1,13 @@
 """Prime sieve, prime powers with von Mangoldt weights, primality testing.
 
 Prime powers come from an odd-only, wheel-presieved segmented sieve that
-merges the prime 2 in with the powers p^m, m >= 2.  It takes its base
-primes from its own run to sqrt(limit)."""
+flags the odd powers p^m, m >= 2, in place and inserts the powers of 2.  It
+takes its base primes from its own run to sqrt(limit)."""
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Iterator
 
 import numpy as np
@@ -59,8 +60,10 @@ def prime_power_segments(limit: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     phase, of the wheel pattern tiled once per call, clear of the multiples
     of 3, 5, 7, 11 and 13 (Pritchard), and then loses the odd multiples of
     the other base primes up to sqrt(limit), which this sieve lists first.
-    The prime 2 and the powers p^m, m >= 2, are listed once and merged into
-    the block they fall in.
+    The odd powers p^m, m >= 2, listed once per call, are flagged again
+    after the strikes, so they come out in order and only their log k is
+    replaced by log p; the powers of 2 are inserted into the blocks that
+    hold one.
     """
     if limit < 2:
         return
@@ -78,10 +81,15 @@ def prime_power_segments(limit: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     order = np.argsort(pk)
     pk = np.array(pk, dtype=np.int64)[order]
     plog = np.log(np.array(pbase, dtype=np.float64))[order]
+    two = pk % 2 == 0  # the powers of 2, inserted; the odd powers are flagged
+    tk, tlog, pk, plog = pk[two], plog[two], pk[~two], plog[~two]
+    tk_list, pk_list = tk.tolist(), pk.tolist()
     beyond = base[base > 13]  # the base primes beyond the wheel
     squares = beyond * beyond
+    square_list = squares.tolist()
     # the wheel tiled once, long enough that every block is one slice of it
     tiled = np.resize(_WHEEL, _WHEEL.size + (min(SEGMENT, limit) + 1) // 2)
+    a = t = 0  # the first odd power and the first power of 2 not yet placed
     for lo in range(2, limit + 1, SEGMENT):
         hi = min(lo + SEGMENT, limit + 1)  # this block is [lo, hi)
         first = lo | 1  # flags[i] is the odd number first + 2i
@@ -89,18 +97,29 @@ def prime_power_segments(limit: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         flags = tiled[phase:phase + (hi - first + 1) // 2].copy()
         if lo <= 13:  # the wheel primes themselves
             flags[[(w - first) // 2 for w in _WHEEL_PRIMES if lo <= w < hi]] = True
-        p = beyond[:np.searchsorted(squares, hi)]
-        start = np.maximum(squares[:p.size], -(-first // p) * p)
-        start += p * (start % 2 == 0)  # the first odd multiple to strike
-        for s, step in zip(((start - first) // 2).tolist(), p.tolist()):
+        p = beyond[:bisect_left(square_list, hi)]
+        # the index of the first odd multiple of p that is at least p^2: the
+        # odd number first + 2i is one when 2i = -(first + p) mod p
+        start = np.maximum((squares[:p.size] - first) >> 1, -((first + p) >> 1) % p)
+        hit = start < flags.size
+        for s, step in zip(start[hit].tolist(), p[hit].tolist()):
             flags[s:: step] = False
-        ks = 2 * np.flatnonzero(flags).astype(np.int64) + first
-        logs = np.log(ks.astype(np.float64))
-        a, b = np.searchsorted(pk, [lo, hi])
+        b = bisect_left(pk_list, hi, a)
         if b > a:
-            at = np.searchsorted(ks, pk[a:b])
-            ks = np.insert(ks, at, pk[a:b])
-            logs = np.insert(logs, at, plog[a:b])
+            flags[(pk[a:b] - first) // 2] = True
+        ks = flags.nonzero()[0].astype(np.int64, copy=False)
+        ks *= 2
+        ks += first
+        logs = np.log(ks)
+        if b > a:
+            logs[np.searchsorted(ks, pk[a:b])] = plog[a:b]
+            a = b
+        u = bisect_left(tk_list, hi, t)
+        if u > t:
+            at = np.searchsorted(ks, tk[t:u])
+            ks = np.insert(ks, at, tk[t:u])
+            logs = np.insert(logs, at, tlog[t:u])
+            t = u
         yield ks, logs
 
 

@@ -6,7 +6,7 @@ from functools import lru_cache
 import mpmath
 import pytest
 
-from dirichlet_li import primes
+from dirichlet_li import arith, primes
 from dirichlet_li.arith import (TruncationParams, _kernel_sum_mp, choose_M,
                                 error_bound_EM, gamma_factor_terms, kernel_sums,
                                 li_arith, li_arith_sweep, prime_power_kernel_sum)
@@ -278,6 +278,21 @@ def test_kernel_sums_do_not_depend_on_block_size(monkeypatch, q, label):
     # only the order of the float64 additions changes: about 4e-14 here
     for n, a, b in zip(SWEEP_NS, default, odd):
         assert abs(a - b) <= 2e-13 * abs(a), (q, label, n)
+
+
+@pytest.mark.parametrize("q,label", [(3, 1), (5, 1), (60, 14)])
+def test_kernel_sums_do_not_depend_on_chunk_size(monkeypatch, q, label):
+    chi = character_by_label(q, label)
+    default = kernel_sums(SWEEP_NS, chi, WIDE_MS)
+    # neither size divides the block, so the cutoffs fall inside chunks and
+    # the last chunk of a block is a short one
+    for chunk in (7, 4099):
+        monkeypatch.setattr(arith, "_CHUNK", chunk)
+        got = kernel_sums(SWEEP_NS, chi, WIDE_MS)
+        for n, a, b in zip(SWEEP_NS, default, got):
+            assert abs(a - b) <= 2e-13 * abs(a), (q, label, chunk, n)
+            if chi.is_real:
+                assert b.imag == 0
 
 
 def test_li_arith_is_one_element_sweep():

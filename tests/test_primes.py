@@ -121,6 +121,42 @@ def test_wheel_edges_match_brute_force(monkeypatch, segment, limit):
     assert_blocks_are_brute_force(limit)
 
 
+def assert_blocks_are_exact(limit):
+    """The blocks join to the brute-force list: every k, and every log p with
+    the bits of numpy's log of p."""
+    blocks = list(prime_power_segments(limit))
+    ks = np.concatenate([k for k, _ in blocks])
+    logs = np.concatenate([lp for _, lp in blocks])
+    ref_k, ref_log = brute_prime_powers(limit)
+    base = np.rint(np.exp(ref_log))  # p, from log p to an ulp
+    assert np.array_equal(ks, ref_k)
+    assert np.array_equal(logs, np.log(base))
+    return blocks
+
+
+# odd prime powers: a segment of k - 2 puts k first in the second block, and
+# one of k - 1 last in the first
+ODD_POWERS = (9, 25, 27, 121, 125, 243, 3 ** 7)
+
+
+@pytest.mark.parametrize("power", ODD_POWERS)
+@pytest.mark.parametrize("place", ["first", "last"])
+def test_odd_powers_at_block_edges_match_brute_force(monkeypatch, power, place):
+    monkeypatch.setattr(primes, "SEGMENT", power - (2 if place == "first" else 1))
+    for limit in (power, 3 * power):
+        blocks = assert_blocks_are_exact(limit)
+        edge = [k[0 if place == "first" else -1] for k, _ in blocks if k.size]
+        assert power in edge
+
+
+# 2 + 511 * 2 and 2 + 340 * 3 start a block whose only prime power is 1024
+@pytest.mark.parametrize("segment", [2, 3])
+def test_power_of_two_alone_in_a_block(monkeypatch, segment):
+    monkeypatch.setattr(primes, "SEGMENT", segment)
+    blocks = assert_blocks_are_exact(1030)
+    assert any(k.tolist() == [1024] for k, _ in blocks[1:])
+
+
 @settings(max_examples=40, deadline=None)
 @given(limit=st.integers(min_value=0, max_value=HYPOTHESIS_MAX_LIMIT),
        segment=st.integers(min_value=2, max_value=3 * 10 ** 5))
