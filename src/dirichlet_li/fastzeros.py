@@ -11,15 +11,15 @@ L(1/2 + it) has one evaluator, its Taylor expansion around centres
 leading Dirichlet sum's, plus the Euler-Maclaurin tail's read off one
 Chebyshev interpolant per run of centres that shares one N, so no point
 evaluates the tail itself.  A scan with grid step h (h log(q t_max) <= pi)
-expands around every cell midpoint, to radius h/2, from phases doubled
-along the midpoints; grid values, rescue sub-grids and safeguarded Newton
-steps read it by Horner in the cell holding them and rotate by theta.  An
+expands around every 4-cell span's midpoint (_SPAN), to radius 2h, from
+phases doubled along them; grid values, rescue sub-grids and Newton steps
+read it by Horner in the span holding them and rotate by theta.  An
 ordinate is the midpoint of a float64 sign-change bracket no wider than
 1e-11, or than two float64 spacings above t = 2^15.  The Euler-Maclaurin
 truncation sits near 1e-13, but each phase t log m carries about one ulp of
-absolute error, so Z from different expansions, or from a cell expansion
-and direct `z_values`, differs by up to 4.3e-14 at t = 30, 4.3e-12 at
-t = 1500 and 2.7e-11 at t = 8600 (3.1, 5.1 and 60.14, both half planes);
+absolute error, so Z from different expansions, or from a scan's expansion
+and direct `z_values`, differs by up to 5.7e-14 at t = 30, 4.9e-12 at
+t = 1500 and 3.8e-11 at t = 8600 (3.1, 5.1 and 60.14, both half planes);
 the sign of a bracket end is not certain where |Z| is that small.  Tests
 compare Z and sampled zeros with the mpmath `hardy_z` and `xi_value` in
 `lfunc`; nothing certifies them.
@@ -37,13 +37,14 @@ from .specfun import bernoulli
 
 # Bumped whenever a change to the finder can move the ordinates it returns;
 # caches of computed zero lists are keyed on it.
-FINDER_VERSION = 7
+FINDER_VERSION = 8
 
 _R_MAX = 40
 _NEWTON_TOL = 1e-11    # closed bracket width, or two float64 spacings above it
 _NEWTON_ITMAX = 80     # lockstep refinement passes at most
 _RESCUE_DEPTH = 32     # sub-cells of a grid cell holding a minimum of |Z|
 _CHUNK = 256           # M-long complex rows held per run of heights
+_SPAN = 4              # grid cells per expansion of a scan's leading sum
 
 
 @functools.cache
@@ -217,8 +218,10 @@ class FastLEvaluator:
         along the run, folded into the weights, are evaluated.  K is the least
         order >= 2 with (radius log m_max)^K / K! <= 2^-64 at the largest N, so
         for |d| <= radius the dropped orders are below 2^-64 sum |chi(m)|
-        m^(-1/2).  Each run's tail comes from one interpolant (`_tail_taylor`).
-        Returns the (n, K) complex coefficients and each N.
+        m^(-1/2).  At |d| = radius Horner's terms, and their rounding, can
+        reach e^x times that sum, x = radius log m_max (3-5, K = 31-38, in
+        the tables' scans).  Each run's tail comes from one interpolant
+        (`_tail_taylor`).  Returns the (n, K) complex coefficients and each N.
         """
         c = np.asarray(centres, dtype=np.float64)
         n_max = self._em_n(float(np.max(np.abs(c), initial=0.0)) + radius)
@@ -379,21 +382,21 @@ def scan_zeros(chi, t_max: float, refine_factor: int = 1, side: int = 1):
     count = int(math.ceil(t_max / h)) + 1
     t0 = 0.0 if side >= 0 else -((count - 1) * h)
     t = t0 + np.arange(count) * h
-    # the leading sum around every cell midpoint, to radius h/2, in one call
-    centres = t[:-1] + 0.5 * h
-    coef, N = ev.leading_sum_taylor(centres, 0.5 * h, step=h)
+    H = _SPAN * h  # one expansion per span, to radius H/2; spans end on grid points
+    centres = t0 + (np.arange(-(-(count - 1) // _SPAN)) + 0.5) * H
+    coef, N = ev.leading_sum_taylor(centres, 0.5 * H, step=H)
 
-    def cell_of(x):  # the expansion of the cell holding each height
-        j = np.clip(((x - t0) // h).astype(np.intp), 0, centres.size - 1)
+    def expansion_of(x):  # the expansion whose span holds each height
+        j = np.clip(((x - t0) // H).astype(np.intp), 0, centres.size - 1)
         return centres[j], coef[j], N[j]
 
     def z_at(x):
-        return ev._from_taylor(x, *cell_of(x), derivative=False)[0]
+        return ev._from_taylor(x, *expansion_of(x), derivative=False)[0]
 
     z = z_at(t)
     brackets = [np.concatenate(parts) for parts in
                 zip(_brackets_from_grid(t, z), _rescue_minima(t, z, z_at))]
-    gammas = _newton(ev, brackets, cell_of(0.5 * (brackets[0] + brackets[1])))
+    gammas = _newton(ev, brackets, expansion_of(0.5 * (brackets[0] + brackets[1])))
     gammas = np.sort(-gammas if side < 0 else gammas)
     return gammas[(gammas > 0) & (gammas <= t_max)]
 

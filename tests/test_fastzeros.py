@@ -81,6 +81,18 @@ def test_first_zeros_match_stored_lists(q, label):
     assert np.all(np.abs(gammas - ref) <= tol)
 
 
+@pytest.mark.parametrize("fixture, q, label", [("zeros_q3", 3, 1), ("zeros_q5_complex", 5, 1),
+                                               ("zeros_q20", 20, 6), ("zeros_q60", 60, 14)])
+def test_fixture_lists_match_stored_lists(fixture, q, label, request):
+    # every ordinate of the session's 10^4-zero lists, which are scanned
+    # anyway, at the tolerance of test_first_zeros_match_stored_lists
+    ref = read_zeros(REFERENCE_DIR / f"zeros_{q}_{label}.txt", chi_id=(q, label)).gammas()
+    gammas = request.getfixturevalue(fixture).gammas()[:ref.size]
+    assert gammas.size == ref.size == 10 ** 4
+    tol = 10.0 ** (np.floor(np.log10(gammas)) - 11) + 2e-11
+    assert np.all(np.abs(gammas - ref) <= tol)
+
+
 @pytest.mark.parametrize("q, label", [(3, 1), (60, 14)])
 def test_refinement_evaluates_few_points_per_zero(q, label, monkeypatch):
     points = []
@@ -321,18 +333,26 @@ def test_cli_import_defers_numpy_polynomial_to_the_scan():
 @pytest.mark.parametrize("q, label", [(3, 1), (5, 1), (60, 14)])
 @pytest.mark.parametrize("side", [1, -1])
 def test_cell_expansions_give_direct_z_on_the_grid(q, label, side):
-    # the scan's grid values: the expansion of each cell, built on equally
-    # spaced midpoints with `step`, read at the cell's left end (d = -h/2)
+    # the scan's expansions over 300 grid cells, one per `span` cells (1, and
+    # the scan's _SPAN), built on equally spaced midpoints with `step` and
+    # read at 9 points across each, the ends included (d in [-H/2, H/2]);
+    # both spans read points of one h/8 lattice, whose direct Z is computed
+    # once.  The spans are looped over, not parametrized, so that this test
+    # keeps its ids
     ev = FastLEvaluator(character_by_label(q, label))
     for T in (30.0, 1500.0, 4000.0, 8600.0):
         h = min(0.2, math.pi / math.log(q * T))
         t0 = side * T - (300 * h if side > 0 else 0.0)
-        centres = t0 + (np.arange(300) + 0.5) * h
-        coef, N = ev.leading_sum_taylor(centres, 0.5 * h, step=h)
-        t = centres - 0.5 * h
-        z = ev.z_from_taylor(t, centres, coef, N)[0]
-        # phases t log m round to about one ulp each: 2.7e-11 at t = 8600
-        assert np.all(np.abs(z - ev.z_values(t)) <= 5e-15 * T + 1e-13), (T, side)
+        t = t0 + np.arange(8 * 300 + 1) * (h / 8)
+        direct = ev.z_values(t)
+        for span in (1, fastzeros._SPAN):
+            centres = t0 + (np.arange(300 // span) + 0.5) * (span * h)
+            coef, N = ev.leading_sum_taylor(centres, 0.5 * span * h, step=span * h)
+            j = np.repeat(np.arange(centres.size), 9)
+            i = 8 * span * j + span * np.tile(np.arange(9), centres.size)
+            z = ev.z_from_taylor(t[i], centres[j], coef[j], N[j])[0]
+            # phases t log m round to about one ulp each: 3.8e-11 at t = 8600
+            assert np.all(np.abs(z - direct[i]) <= 5e-15 * T + 1e-13), (span, T, side)
 
 
 def test_lower_half_plane_scan_ordinates_sit_in_sign_change_brackets():
@@ -346,10 +366,11 @@ def test_lower_half_plane_scan_ordinates_sit_in_sign_change_brackets():
 
 
 @pytest.mark.parametrize("q, label", [(3, 1), (60, 14)])
-def test_scan_reads_one_expansion_set_on_the_grid_midpoints(q, label, monkeypatch):
+def test_scan_reads_one_expansion_set_centred_on_its_spans(q, label, monkeypatch):
     # one scan builds every expansion in one `leading_sum_taylor` call on the
-    # cell midpoints, evaluates its grid from them (equal to direct Z), never
-    # calls the direct evaluator, and refines with few expansion reads
+    # midpoints of spans of _SPAN cells, evaluates its grid from them (equal
+    # to direct Z), never calls the direct evaluator, and refines with few
+    # expansion reads
     built, grids, points = [], [], []
     expand, bracket, read = (FastLEvaluator.leading_sum_taylor, fastzeros._brackets_from_grid,
                              FastLEvaluator.z_from_taylor)
@@ -379,9 +400,10 @@ def test_scan_reads_one_expansion_set_on_the_grid_midpoints(q, label, monkeypatc
     h = min(0.2, math.pi / math.log(q * T))
     assert len(built) == 1
     centres, radius, step = built[0]
-    assert step == h and radius == h / 2
-    assert np.allclose(centres, (np.arange(centres.size) + 0.5) * h, rtol=0, atol=1e-12)
-    assert centres[-1] + h / 2 >= T
+    H = fastzeros._SPAN * h
+    assert step == H and radius == H / 2
+    assert np.allclose(centres, (np.arange(centres.size) + 0.5) * H, rtol=0, atol=1e-12)
+    assert centres[-1] + H / 2 >= T
     assert 0 < sum(points) <= 5 * len(zeros)
     t, z = grids[0]
     monkeypatch.undo()
