@@ -284,25 +284,32 @@ def cmd_table(args) -> int:
 
 # ----------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Every command's parser, or only `command`'s; the usage names all five."""
     p = argparse.ArgumentParser(
         prog="dirichlet-li",
         description="Li coefficients of Dirichlet L-functions by the "
                     "arithmetic and zero-sum formulas")
-    sub = p.add_subparsers(dest="command", required=True)
+    names = ("characters", "zeros", "li", "compare", "table")
+    build = (command,) if command in names else names
+    sub = p.add_subparsers(dest="command", required=True,
+                           metavar=None if build == names else "{%s}" % ",".join(names))
 
-    pc = sub.add_parser("characters", help="list the character group mod q")
-    pc.add_argument("--q", type=int, required=True)
-    pc.set_defaults(func=cmd_characters)
+    def add_parser(name, help):  # None for a command not built
+        return sub.add_parser(name, help=help) if name in build else None
 
-    pz = sub.add_parser("zeros", help="compute critical-line zeros")
-    pz.add_argument("--q", type=int, required=True)
-    pz.add_argument("--label", type=int)
-    height = pz.add_mutually_exclusive_group()
-    height.add_argument("--tmax", type=_at_least(float, 1))
-    height.add_argument("--zeros-count", type=_at_least(int, 1))
-    pz.add_argument("--out")
-    pz.set_defaults(func=cmd_zeros)
+    if pc := add_parser("characters", "list the character group mod q"):
+        pc.add_argument("--q", type=int, required=True)
+        pc.set_defaults(func=cmd_characters)
+
+    if pz := add_parser("zeros", "compute critical-line zeros"):
+        pz.add_argument("--q", type=int, required=True)
+        pz.add_argument("--label", type=int)
+        height = pz.add_mutually_exclusive_group()
+        height.add_argument("--tmax", type=_at_least(float, 1))
+        height.add_argument("--zeros-count", type=_at_least(int, 1))
+        pz.add_argument("--out")
+        pz.set_defaults(func=cmd_zeros)
 
     def add_common(sp):
         sp.add_argument("--q", type=int, required=True)
@@ -316,34 +323,35 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="zero-sum tail target 10^-k")
         sp.add_argument("--zeros", help="zero file (lfunc format)")
 
-    pl = sub.add_parser("li", help="compute Li coefficients")
-    add_common(pl)
-    pl.add_argument("--method", choices=("arith", "zeros", "both"),
-                    default="both")
-    pl.add_argument("--out")
-    pl.add_argument("--format", choices=("table", "csv"), default="table")
-    pl.add_argument("--pair", action="store_true",
-                    help="for complex characters also print the "
-                         "conjugate-paired sum")
-    pl.set_defaults(func=cmd_li)
+    if pl := add_parser("li", "compute Li coefficients"):
+        add_common(pl)
+        pl.add_argument("--method", choices=("arith", "zeros", "both"),
+                        default="both")
+        pl.add_argument("--out")
+        pl.add_argument("--format", choices=("table", "csv"), default="table")
+        pl.add_argument("--pair", action="store_true",
+                        help="for complex characters also print the "
+                             "conjugate-paired sum")
+        pl.set_defaults(func=cmd_li)
 
-    pcmp = sub.add_parser("compare", help="cross-method comparison report")
-    add_common(pcmp)
-    pcmp.set_defaults(func=cmd_compare)
+    if pcmp := add_parser("compare", "cross-method comparison report"):
+        add_common(pcmp)
+        pcmp.set_defaults(func=cmd_compare)
 
-    pt = sub.add_parser("table", help="reproduce a published table")
-    pt.add_argument("--name", choices=sorted(TABLES), required=True)
-    pt.add_argument("--zeros")
-    pt.add_argument("--zeros-count", type=_at_least(int, 1), default=10 ** 4)
-    pt.add_argument("--out")
-    pt.add_argument("--plot-script")
-    pt.add_argument("--format", choices=("table", "csv"), default="table")
-    pt.set_defaults(func=cmd_table)
+    if pt := add_parser("table", "reproduce a published table"):
+        pt.add_argument("--name", choices=sorted(TABLES), required=True)
+        pt.add_argument("--zeros")
+        pt.add_argument("--zeros-count", type=_at_least(int, 1), default=10 ** 4)
+        pt.add_argument("--out")
+        pt.add_argument("--plot-script")
+        pt.add_argument("--format", choices=("table", "csv"), default="table")
+        pt.set_defaults(func=cmd_table)
     return p
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    words = sys.argv[1:] if argv is None else argv
+    args = _build_parser(words[0] if words else None).parse_args(words)
     try:
         code = args.func(args)
     except DirichletLiError as exc:

@@ -58,13 +58,14 @@ def _im_log_gamma(x, y: np.ndarray) -> np.ndarray:
     """Im log Gamma(x + iy), x > 0 scalar or shaped like y: Stirling's series
     to order 15 at x + 8 + iy less arg(x + j + iy), j < 8, where |y| < 8."""
     near = np.abs(y) < 8
+    x = np.broadcast_to(x, near.shape)
     w = x + 8 * near + 1j * y
     # B_2k / (2k (2k-1)) = (B_2k / (2k)!) (2k-2)!, k = 8..1
     c = _bernoulli_coeffs()[7::-1] * [math.factorial(k) for k in range(14, -1, -2)]
-    shift = np.arctan2(y[..., None], np.asarray(x)[..., None] + np.arange(8)).sum(axis=-1)
-    lg = ((w.real - 0.5) * np.angle(w) + y * (np.log(np.abs(w)) - 1)
-          + (np.polyval(c, 1 / (w * w)) / w).imag)
-    return lg - np.where(near, shift, 0.0)
+    lg = np.asarray((w.real - 0.5) * np.angle(w) + y * (np.log(np.abs(w)) - 1)
+                    + (np.polyval(c, 1 / (w * w)) / w).imag)
+    lg[near] -= np.arctan2(y[near, None], x[near, None] + np.arange(8)).sum(axis=-1)
+    return lg
 
 
 class FastLEvaluator:

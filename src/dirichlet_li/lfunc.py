@@ -263,22 +263,22 @@ def read_zeros(path, chi_id: tuple[int, int] | None = None) -> ZeroList:
 
     The whole file is parsed before any rule is checked, and the first
     record line in the file that does not parse is the one reported.  Lines
-    end at "\n" alone, as when iterating over the file: str.splitlines
-    would also end them at \f, \v or \x85 and shift the line numbers."""
+    end at "\n", "\r\n" or "\r"; \f, \v and \x85 only separate fields.  Files
+    other than a header block then bare ordinates are read line by line."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = list(map(str.strip, fh.read().split("\n")))
-    header: dict[str, str] = {}
-    header_line: dict[str, int] = {}
-    skip = [i for i, line in enumerate(lines) if not line or line[0] == "#"]  # blank, header
-    for i in skip:
-        for tok in lines[i][1:].split():
-            if "=" in tok:
-                k, v = tok.split("=", 1)
-                header[k], header_line[k] = v, i + 1
-    record_idx = np.delete(np.arange(len(lines)), skip).tolist()  # every other line
-    try:
-        gammas, alphas = list(map(float, [lines[i] for i in record_idx])), 1  # bare ordinates
-    except ValueError:  # a multiplicity column or a fault: parse line by line
+        lines = fh.read().split("\n")
+    start, stop = 0, len(lines)
+    while start < stop and lines[start].lstrip()[:1] in ("", "#"):  # leading header, blank
+        start += 1
+    while stop > start and not lines[stop - 1].strip():  # trailing blank
+        stop -= 1
+    try:  # one pass; a line float accepts is, stripped, a record of the same value
+        gammas, alphas = np.fromiter(map(float, lines[start:stop]), np.float64, stop - start), 1
+        skip, record_idx = range(start), range(start, stop)
+    except ValueError:  # any other layout or a fault: parse line by line
+        lines = list(map(str.strip, lines))
+        skip = [i for i, line in enumerate(lines) if not line or line[0] == "#"]  # blank, header
+        record_idx = np.delete(np.arange(len(lines)), skip).tolist()  # every other line
         gammas, alphas = [], []
         for i in record_idx:
             parts = lines[i].split()
@@ -289,6 +289,13 @@ def read_zeros(path, chi_id: tuple[int, int] | None = None) -> ZeroList:
                 raise ParseError(f"bad record {lines[i]!r}: {exc}", i + 1) from None
             if len(parts) > 2:
                 raise ParseError(f"too many fields in {lines[i]!r}", i + 1)
+    header: dict[str, str] = {}
+    header_line: dict[str, int] = {}
+    for i in skip:
+        for tok in lines[i].strip()[1:].split():
+            if "=" in tok:
+                k, v = tok.split("=", 1)
+                header[k], header_line[k] = v, i + 1
 
     def field(key, kind):
         if key not in header:

@@ -72,6 +72,29 @@ def test_module_entry_point_exits_with_the_command_status(argv, code):
         assert out.stdout.splitlines()[0].split()[0] == "label" and out.stderr == ""
 
 
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["bogus"], ["--q", "3"],
+    *([command, "--help"] for command in ("characters", "zeros", "li", "compare", "table")),
+    ["characters"], ["zeros", "--tmax", "9"], ["li", "--q", "3"], ["compare", "--n", "1"],
+    ["table"], ["li", "--q", "3", "--n", "1", "--method", "bogus"], ["table", "--name", "bogus"],
+    ["table", "--name", "mod3", "--bogus"], ["li", "--q", "3", "--n", "1", "extra"],
+])
+def test_help_usage_and_errors_match_the_parser_of_every_command(argv, capsys):
+    # main builds only the named command's parser; what argparse prints and
+    # its exit status are those of the parser that builds all five
+    from dirichlet_li.cli import _build_parser
+
+    def text(parse):
+        with pytest.raises(SystemExit) as exc:
+            parse(list(argv))
+        out = capsys.readouterr()
+        return exc.value.code, out.out, out.err
+
+    code, out, err = expected = text(_build_parser().parse_args)
+    assert text(main) == expected
+    assert (err if code else out).startswith("usage: dirichlet-li")
+
+
 # ----------------------------------------------------------------------------
 # zeros command
 

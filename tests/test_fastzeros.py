@@ -293,6 +293,31 @@ def test_im_log_gamma_matches_big_float(a):
     assert np.all(err <= tol), t[np.argmax(err / tol)]
 
 
+def test_im_log_gamma_shifts_only_near_the_axis():
+    # the eight arg terms are computed only where |y| < 8; the result is bit
+    # for bit the formula that computes them at every height and then drops
+    # them, for scalar x and for x shaped like y (the Gamma-factor terms' use)
+    from dirichlet_li.fastzeros import _im_log_gamma
+
+    def every_height(x, y):
+        near = np.abs(y) < 8
+        w = x + 8 * near + 1j * y
+        c = _bernoulli_coeffs()[7::-1] * [math.factorial(k) for k in range(14, -1, -2)]
+        shift = np.arctan2(y[..., None], np.asarray(x)[..., None] + np.arange(8)).sum(axis=-1)
+        lg = ((w.real - 0.5) * np.angle(w) + y * (np.log(np.abs(w)) - 1)
+              + (np.polyval(c, 1 / (w * w)) / w).imag)
+        return lg - np.where(near, shift, 0.0)
+
+    rng = np.random.default_rng(29)
+    for x in (0.25, 0.75):
+        for y in (np.linspace(-30, 1660, 8300), np.linspace(-20, 20, 5000),
+                  np.array(3.0), np.array(30.0)):
+            out = _im_log_gamma(x, y)
+            assert out.shape == y.shape and np.array_equal(out, every_height(x, y))
+    x, y = rng.uniform(0.2, 3.0, (7, 300)), rng.uniform(-20.0, 20.0, (7, 300))
+    assert np.array_equal(_im_log_gamma(x, y), every_height(x, y))
+
+
 def test_cli_import_leaves_scipy_unloaded():
     import os
     import subprocess
@@ -426,6 +451,24 @@ def _record_tail_runs(ev, monkeypatch):
     return runs
 
 
+def _check_tail_runs(ev, runs, where):
+    """Read the tail part of each run's expansions by Horner at 9 points
+    across every expansion, against the tail evaluated at those heights."""
+    for centres, radius, N, tail in runs:
+        j = np.repeat(np.arange(centres.size), 9)
+        d = np.tile(np.linspace(-radius, radius, 9), centres.size)
+        value, slope = tail[j, -1], 0
+        for k in range(tail.shape[1] - 2, -1, -1):
+            slope = slope * d + value
+            value = value * d + tail[j, k]
+        ref, dref = ev._tail_sum(centres[j] + d, N, derivative=True)
+        # the sampled phases t log(qN + a) round to about 1e-11 at t = 8600;
+        # 50 times below the 5e-15 T + 1e-13 budget of the grid's Z
+        T = np.max(np.abs(centres))
+        assert np.all(np.abs(value - ref) <= 1e-16 * T + 1e-14), (*where, T)
+        assert np.all(np.abs(slope - dref) <= 1e-15 * T + 1e-13), (*where, T)
+
+
 @pytest.mark.parametrize("q, label, side", [(3, 1, 1), (5, 1, 1), (5, 1, -1), (60, 14, 1)])
 def test_tail_interpolant_matches_tail_sum(q, label, side, monkeypatch):
     # the tail part of each cell expansion, read by Horner at 9 points across
@@ -438,19 +481,22 @@ def test_tail_interpolant_matches_tail_sum(q, label, side, monkeypatch):
         t0 = side * T - (300 * h if side < 0 else 0.0)
         ev.leading_sum_taylor(t0 + (np.arange(300) + 0.5) * h, 0.5 * h, step=h)
     assert len(runs) == 4
-    for centres, radius, N, tail in runs:
-        j = np.repeat(np.arange(centres.size), 9)
-        d = np.tile(np.linspace(-radius, radius, 9), centres.size)
-        value, slope = tail[j, -1], 0
-        for k in range(tail.shape[1] - 2, -1, -1):
-            slope = slope * d + value
-            value = value * d + tail[j, k]
-        ref, dref = ev._tail_sum(centres[j] + d, N, derivative=True)
-        # the sampled phases t log(qN + a) round to about 1e-11 at t = 8600;
-        # 50 times below the 5e-15 T + 1e-13 budget of the grid's Z
-        T = np.max(np.abs(centres))
-        assert np.all(np.abs(value - ref) <= 1e-16 * T + 1e-14), (q, label, T)
-        assert np.all(np.abs(slope - dref) <= 1e-15 * T + 1e-13), (q, label, T)
+    _check_tail_runs(ev, runs, (q, label))
+
+
+@pytest.mark.parametrize("q, label, side", [(3, 1, 1), (5, 1, 1), (5, 1, -1), (60, 14, 1)])
+def test_tail_interpolant_matches_tail_sum_across_scan_spans(q, label, side, monkeypatch):
+    # as above, in a scan's own geometry: one expansion per span of _SPAN
+    # cells, to radius H/2 (K = 29-39 here), over 600 spans, which
+    # `leading_sum_taylor` cuts into runs of 65536 / (4 K) centres and a rest
+    ev = FastLEvaluator(character_by_label(q, label))
+    runs = _record_tail_runs(ev, monkeypatch)
+    for T in (0.0, 30.0, 1500.0, 8600.0):
+        H = fastzeros._SPAN * min(0.2, math.pi / math.log(q * max(T, 3.0)))
+        t0 = side * T - (600 * H if side < 0 else 0.0)
+        ev.leading_sum_taylor(t0 + (np.arange(600) + 0.5) * H, 0.5 * H, step=H)
+    assert len(runs) == 8 and max(centres.size for centres, *_ in runs) >= 468
+    _check_tail_runs(ev, runs, (q, label))
 
 
 @pytest.mark.parametrize("t", [0.0, 14.1, -222.5, 8600.4])

@@ -368,6 +368,87 @@ def test_zero_file_with_two_faults_reports_the_first(tmp_path, body, msg):
         read_zeros(path)
 
 
+def _read_line_by_line(path):
+    """Reference reader: each line of the file classified on its own, lines
+    ending at \\n, \\r\\n or \\r.  Returns (ordinates, multiplicities, header
+    fields), or (fault kind, line number) for the first fault."""
+    text = path.read_bytes().decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    gammas, alphas, numbers, header = [], [], [], {}
+    for n, line in enumerate((raw.strip() for raw in text.split("\n")), 1):
+        if not line or line[0] == "#":
+            header.update(tok.split("=", 1) for tok in line[1:].split() if "=" in tok)
+            continue
+        parts = line.split()
+        try:
+            gammas.append(float(parts[0]))
+            alphas.append(int(parts[1]) if len(parts) > 1 else 1)
+        except ValueError:
+            return "bad record", n
+        if len(parts) > 2:
+            return "too many fields", n
+        numbers.append(n)
+    for g0, g1, n in zip(gammas, gammas[1:], numbers[1:]):
+        if g1 <= g0:
+            return "ascending", n
+    return gammas, alphas, header
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_zero_file_reader_routes_agree(tmp_path, seed):
+    # files in every layout: a header block or headers among the records,
+    # blank and space-only lines, \f and \v around and between fields, a
+    # multiplicity column, \r\n or \r line ends, and at most one fault; the
+    # usual layout (header block, bare ordinates) is read in one pass, any
+    # other line by line, and both must agree with the reference reader
+    rng = np.random.default_rng(seed)
+    path = tmp_path / "zeros.txt"
+    seen = set()
+    for _ in range(150):
+        lines = [f"{g:.12g}" for g in np.cumsum(rng.uniform(0.01, 2.0, rng.integers(0, 30)))]
+        interleave, blanks, mult, padded, fault = rng.random(5) < 0.3
+        if mult:
+            for i in rng.integers(0, len(lines), 3) if lines else ():
+                lines[i] += rng.choice([" 2", "\f3", "\v2\v", "\t1"])
+        if padded:
+            lines = [rng.choice(["", " ", "\f", "\v", "\t"]) + line + rng.choice(["", " ", "\v"])
+                     for line in lines]
+        if fault and lines:
+            i = int(rng.integers(len(lines)))
+            kind = rng.integers(3)
+            if kind == 2 and i + 1 < len(lines):
+                lines[i], lines[i + 1] = lines[i + 1], lines[i]
+            else:
+                lines[i] = ["not-a-number", lines[i].strip() + " 2 junk"][kind % 2]
+        extra = [rng.choice(["# provenance=computed", "# symmetric=false", "# symmetric=True"])]
+        if interleave:
+            lines.insert(int(rng.integers(len(lines) + 1)), extra.pop())
+        if blanks:
+            for _ in range(3):
+                lines.insert(int(rng.integers(len(lines) + 1)), rng.choice(["", "  ", "\t \f"]))
+        head = [" "] * int(rng.integers(2)) + ["# q=3 label=1 height=100"] + extra
+        eol = rng.choice(["\n", "\r\n", "\r"])
+        body = eol.join(head + lines) + rng.choice(["", eol, eol + " " + eol])
+        path.write_bytes(body.encode("utf-8"))
+        expected = _read_line_by_line(path)
+        seen.add((bool(interleave or blanks or mult), expected[0] if len(expected) == 2 else "read"))
+        if len(expected) == 2:
+            kind, line_number = expected
+            with pytest.raises(ParseError, match=kind) as exc:
+                read_zeros(path)
+            assert exc.value.line_number == line_number, body
+            continue
+        gammas, alphas, header = expected
+        zl = read_zeros(path, chi_id=(3, 1))
+        assert zl.gammas().tobytes() == np.array(gammas, np.float64).tobytes(), body
+        assert zl.alphas().tolist() == alphas, body
+        assert zl.height == float(header["height"]) == 100.0
+        assert zl.provenance == header.get("provenance", "imported")
+        assert zl.symmetric == (header.get("symmetric", "true").lower() == "true")
+    # both layouts read, and each kind of fault found in both
+    assert seen == {(other, kind) for other in (False, True)
+                    for kind in ("read", "bad record", "too many fields", "ascending")}
+
+
 def test_zero_list_from_structured_array_is_a_read_only_copy():
     pairs = [(2.5, 1), (3.75, 2), (4.0, 1)]
     raw = np.array(pairs, dtype=ZERO_DTYPE)
