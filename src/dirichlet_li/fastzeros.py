@@ -13,7 +13,10 @@ Chebyshev interpolant per run of centres that shares one N, so no point
 evaluates the tail itself.  A scan with grid step h (h log(q t_max) <= pi)
 expands around every 4-cell span's midpoint (_SPAN), to radius 2h, from
 phases doubled along them; grid values, rescue sub-grids and Newton steps
-read it by Horner in the span holding them and rotate by theta.  An
+read it by Horner in the span holding them and rotate by theta.  Phases are
+formed and multiplied into the weights in slabs of _SLAB terms m, so the
+working memory does not grow with the sum's length (M = phi(q) N, N ~ t/4)
+beyond the (M, K) weights and a few M-long phase factors.  An
 ordinate is the midpoint of a float64 sign-change bracket no wider than
 1e-11, or than two float64 spacings above t = 2^15.  The Euler-Maclaurin
 truncation sits near 1e-13, but each phase t log m carries about one ulp of
@@ -37,13 +40,14 @@ from .specfun import bernoulli
 
 # Bumped whenever a change to the finder can move the ordinates it returns;
 # caches of computed zero lists are keyed on it.
-FINDER_VERSION = 8
+FINDER_VERSION = 9
 
 _R_MAX = 40
 _NEWTON_TOL = 1e-11    # closed bracket width, or two float64 spacings above it
 _NEWTON_ITMAX = 80     # lockstep refinement passes at most
 _RESCUE_DEPTH = 32     # sub-cells of a grid cell holding a minimum of |Z|
-_CHUNK = 256           # M-long complex rows held per run of heights
+_CHUNK = 256           # heights per run without `step`; with it, _CHUNK^2 / (4 K)
+_SLAB = 512            # terms m per product of a run's phase block and weights
 _SPAN = 4              # grid cells per expansion of a scan's leading sum
 
 
@@ -216,7 +220,10 @@ class FastLEvaluator:
         a complex phase block times the (M, K) matrix of those weights.  With
         `step` (ascending centres spaced by it), only the block's first row,
         its doublings e^(-i 2^b step log m) and its shifts e^(-i jr step log m)
-        along the run, folded into the weights, are evaluated.  K is the least
+        along the run, folded into the weights, are evaluated.  The product is
+        summed over slabs of _SLAB terms m, so memory is the output, the (M, K)
+        weights, O((log2 r + nb) M) phase factors per run (r nb centres with
+        `step`) and one slab, not a block as long as the sum.  K is the least
         order >= 2 with (radius log m_max)^K / K! <= 2^-64 at the largest N, so
         for |d| <= radius the dropped orders are below 2^-64 sum |chi(m)|
         m^(-1/2).  At |d| = radius Horner's terms, and their rounding, can
@@ -233,40 +240,45 @@ class FastLEvaluator:
             term *= x / K
         # the flattened sum of length phi(q)*N is a prefix of the longest one
         logm, amp = self._flat_coeffs(n_max)
-        w = np.cumprod(np.hstack([amp[:, None], -1j * logm[:, None] / np.arange(1, K)]),
-                       axis=1)
+        w = np.empty((logm.size, K), dtype=np.complex128)
+        w[:, 0] = amp
+        np.divide(-1j * logm[:, None], np.arange(1, K), out=w[:, 1:])
+        np.cumprod(w, axis=1, out=w)
         coef = np.empty((c.size, K), dtype=np.complex128)
         Ns = np.empty(c.size, dtype=np.int64)
         # N at each run's largest |c| + radius; with `step`, r ~ sqrt(K run)
         order = np.argsort(c)
         run = _CHUNK if step is None else _CHUNK ** 2 // (4 * K)
-        # with `step`, every run's block and weights share one buffer sized for
-        # the longest flattened sum, so runs do not grow and fragment the heap
-        work = np.empty(0, dtype=np.complex128)
         for start in range(0, c.size, run):
             idx = order[start:start + run]
             Ns[idx] = N = self._em_n(float(np.max(np.abs(c[idx]))) + radius)
             lm = logm[:self.residues.size * N]
             tail = self._tail_taylor(c[idx], radius, K, N)
-            if step is None:
-                block = np.zeros((idx.size, lm.size), dtype=np.complex128)
-                np.multiply.outer(c[idx], -lm, out=block.imag)
-                coef[idx] = np.exp(block, out=block) @ w[:lm.size] + tail
-                continue
-            # row i + jr of the run is row i of the block times e^(-i jr step log m)
-            r = 2 ** round(math.log2(idx.size * K) / 2)
-            nb = -(-idx.size // r)
-            if work.size < (r + nb * K) * logm.size:
-                work = np.empty((r + nb * K) * logm.size, dtype=np.complex128)
-            block = work[:r * lm.size].reshape(r, lm.size)
-            block[0] = np.exp(-1j * c[idx[0]] * lm)
-            for n in 2 ** np.arange(r.bit_length() - 1):
-                np.multiply(block[:n], np.exp(-1j * (n * step) * lm), out=block[n:2 * n])
-            shift = np.exp(-1j * (r * step) * np.outer(lm, np.arange(nb)))
-            weights = work[r * lm.size:(r + nb * K) * lm.size].reshape(lm.size, nb, K)
-            np.multiply(shift[:, :, None], w[:lm.size, None, :], out=weights)
-            out = block @ weights.reshape(lm.size, -1)
-            coef[idx] = out.reshape(r, nb, K).swapaxes(0, 1).reshape(-1, K)[:idx.size] + tail
+            r, nb = idx.size, 1
+            if step is not None:
+                # row i + jr of the run is row i of the block times e^(-i jr step log m)
+                r = 2 ** round(math.log2(idx.size * K) / 2)
+                nb = -(-idx.size // r)
+                first = np.exp(-1j * c[idx[0]] * lm)
+                levels = 2 ** np.arange(r.bit_length() - 1)
+                doubling = np.exp(-1j * step * np.multiply.outer(levels, lm))
+                shift = np.exp(-1j * (r * step) * np.outer(lm, np.arange(nb)))
+            # the run's block times the weights, summed over slabs of _SLAB terms m
+            acc = np.zeros((r, nb * K), dtype=np.complex128)
+            blocks = np.empty(r * _SLAB, dtype=np.complex128)
+            for lo in range(0, lm.size, _SLAB):
+                m = slice(lo, min(lo + _SLAB, lm.size))
+                block = blocks[:r * (m.stop - lo)].reshape(r, -1)
+                if step is None:
+                    block.real = 0
+                    np.multiply.outer(c[idx], -lm[m], out=block.imag)
+                    acc += np.exp(block, out=block) @ w[m]
+                    continue
+                block[0] = first[m]
+                for b, n in enumerate(levels):
+                    np.multiply(block[:n], doubling[b, m], out=block[n:2 * n])
+                acc += block @ (shift[m, :, None] * w[m, None, :]).reshape(-1, nb * K)
+            coef[idx] = acc.reshape(r, nb, K).swapaxes(0, 1).reshape(-1, K)[:idx.size] + tail
         return coef, Ns
 
     def z_from_taylor(self, t, centres, coef, N):

@@ -1,6 +1,7 @@
 """The double-precision zero finder: its Z' and the brackets behind each ordinate."""
 
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -378,6 +379,54 @@ def test_cell_expansions_give_direct_z_on_the_grid(q, label, side):
             z = ev.z_from_taylor(t[i], centres[j], coef[j], N[j])[0]
             # phases t log m round to about one ulp each: 3.8e-11 at t = 8600
             assert np.all(np.abs(z - direct[i]) <= 5e-15 * T + 1e-13), (span, T, side)
+
+
+@pytest.mark.parametrize("slab", [7, 4099])
+def test_leading_sums_do_not_depend_on_slab_size(slab, monkeypatch):
+    # the phase product summed over slabs of 7 or 4099 terms m (the last one
+    # partial; M >= 6128 from t = 1500 up), on the `step` path (a scan's spans, two
+    # runs) and the direct path (300 heights, two runs), against the default:
+    # only the order of the m-sum changes, so coefficient k may move by
+    # rounding of sum_m |w[m, k]|
+    ev = FastLEvaluator(character_by_label(60, 14))
+    T, H = 1500.0, fastzeros._SPAN * min(0.2, math.pi / math.log(60 * 1500.0))
+    cases = [(T + (np.arange(600) + 0.5) * H, 0.5 * H, H), (np.linspace(T - 30, T, 300), 0.0, None)]
+    default = [ev.leading_sum_taylor(c, radius, step=step) for c, radius, step in cases]
+    monkeypatch.setattr(fastzeros, "_SLAB", slab)
+    for (c, radius, step), (coef_ref, N_ref) in zip(cases, default):
+        coef, N = ev.leading_sum_taylor(c, radius, step=step)
+        assert np.array_equal(N, N_ref)
+        logm, amp = ev._flat_coeffs(int(N.max()))
+        k = np.arange(coef.shape[1])
+        size = np.abs(amp) @ (logm[:, None] ** k / [math.factorial(j) for j in k])
+        assert np.all(np.abs(coef - coef_ref) <= 1e-13 * size), (slab, step)
+
+
+def test_leading_sum_memory_does_not_grow_with_the_sum():
+    # traced peak of one scan's expansion call for 60.14 at its 1500-zero
+    # height (M = 4672, K = 35, r nb = 468 centres a run): the output, the
+    # (M, K) weights twice at most, and 4 MiB of per-run phase factors and
+    # slabs, where one (r + nb K) M block took 24 MiB; and of direct Z at 256
+    # heights there, where one (256 x M) phase block took 18 MiB
+    ev = FastLEvaluator(character_by_label(60, 14))
+    T = height_for_count(60, 1500)
+    h = min(0.2, math.pi / math.log(60 * T))
+    H = fastzeros._SPAN * h  # the scan's spans and their midpoints
+    centres = (np.arange(-(-math.ceil(T / h) // fastzeros._SPAN)) + 0.5) * H
+    t = T - 10 + np.arange(256) * 0.03
+    ev.z_values(t[:2])  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        coef, N = ev.leading_sum_taylor(centres, 0.5 * H, step=H)
+        expansion_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        ev.z_values(t)
+        direct_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    M, K = ev.residues.size * int(N.max()), coef.shape[1]
+    assert expansion_peak <= coef.nbytes + 2 * M * K * 16 + 4 * 2 ** 20, (expansion_peak, M, K)
+    assert direct_peak <= 8 * 2 ** 20, direct_peak
 
 
 def test_lower_half_plane_scan_ordinates_sit_in_sign_change_brackets():
