@@ -6,11 +6,11 @@ per-class Bernoulli tails), forms the phase-rotated real function whose sign
 changes are the critical-line zeros, and locates all zeros of one half plane
 up to a target height; `lfunc` checks how many it found.
 
-L(1/2 + it) has one evaluator, its Taylor expansion around centres
-(`leading_sum_taylor`); direct Z is the radius-0 case.  An expansion is the
-leading Dirichlet sum's, plus the Euler-Maclaurin tail's read off one
-Chebyshev interpolant per run of centres that shares one N, so no point
-evaluates the tail itself.  A scan with grid step h (h log(q t_max) <= pi)
+Direct L(1/2 + it) and dL/dt come from `l_values`, which sums the leading
+Dirichlet sum and the Euler-Maclaurin tail at each height.  A scan reads
+Taylor expansions of L around centres (`leading_sum_taylor`), whose tail part
+comes off one Chebyshev interpolant per run of centres sharing one N; only
+they read it.  A scan with grid step h (h log(q t_max) <= pi)
 expands around every 4-cell span's midpoint (_SPAN), to radius 2h, from
 phases doubled along them; grid values, rescue sub-grids and Newton steps
 read it by Horner in the span holding them and rotate by theta.  Phases are
@@ -46,7 +46,7 @@ _R_MAX = 40
 _NEWTON_TOL = 1e-11    # closed bracket width, or two float64 spacings above it
 _NEWTON_ITMAX = 80     # lockstep refinement passes at most
 _RESCUE_DEPTH = 32     # sub-cells of a grid cell holding a minimum of |Z|
-_CHUNK = 256           # heights per run without `step`; with it, _CHUNK^2 / (4 K)
+_CHUNK = 256           # rows of a run's phase block, at most
 _SLAB = 512            # terms m per product of a run's phase block and weights
 _SPAN = 4              # grid cells per expansion of a scan's leading sum
 
@@ -110,9 +110,9 @@ class FastLEvaluator:
         m = m.astype(np.float64)
         return np.log(m), w * m ** -0.5
 
-    def _tail_sum(self, t: np.ndarray, N: int, derivative: bool = True):
+    def _tail_sum(self, t: np.ndarray, N: int):
         """q^(-s) sum_a chi(a) EM tail of zeta(s, x_a), x_a = N + a/q, and its
-        derivative in t (0 unless `derivative`), vectorized over t.
+        derivative in t, vectorized over t.
 
         The tail of each class is x^(-s) [x/(s-1) + 1/2 + sum_r P_r(s) (N/x)^(2r+1)]
         with P_r(s) = B_2r/(2r)! (s)_(2r+1) N^(-2r-1) the same for every class,
@@ -138,12 +138,10 @@ class FastLEvaluator:
         pr, f, r = pr[1:, :R], f[1:, :R - 1], r[:R - 1]
         e = self.res_values * np.exp(-np.outer(s, lx))  # chi(a) x_a^(-s)
         cols = np.column_stack([x, np.ones_like(x), (N / x)[:, None] ** (2 * np.arange(R) + 1)])
-        sums = e @ (np.hstack([cols, cols * lx[:, None]]) if derivative else cols)
+        sums = e @ np.hstack([cols, cols * lx[:, None]])
         ex, e1, g = sums[:, 0], sums[:, 1], sums[:, 2:R + 2]
         q_ms = np.exp(-s * math.log(self.q))
         tail = ex / (s - 1) + e1 / 2 + np.einsum("ij,ij->i", pr, g)
-        if not derivative:
-            return tail * q_ms, 0.0
         exl, el, gl = sums[:, R + 2], sums[:, R + 3], sums[:, R + 4:]
         # 1/s, then 1/(s+2r-1) + 1/(s+2r) = (4r + 2it) / ((s+2r-1)(s+2r))
         sig = np.cumsum(np.hstack([1 / s[:, None], (4 * r + 2j * t[:, None]) / f]), axis=1)
@@ -177,7 +175,7 @@ class FastLEvaluator:
 
         def g(x):
             t = mid + half * x
-            return self._tail_sum(t, N, derivative=False)[0] * np.exp(1j * lam * t)
+            return self._tail_sum(t, N)[0] * np.exp(1j * lam * t)
 
         for n in (16, 32, 64, 128):
             a = C.chebinterpolate(g, n)
@@ -202,34 +200,53 @@ class FastLEvaluator:
         return (0.5 * t * math.log(self.q / math.pi)
                 + _im_log_gamma((0.5 + self.a) / 2, 0.5 * t) - 0.5 * self.omega_angle)
 
-    def z_and_derivative(self, t: np.ndarray):
-        """Z(t) and Z'(t) for an arbitrary array of heights: the expansion of
-        `leading_sum_taylor` at radius 0, whose two coefficients are the
-        direct sums of chi(m) m^(-1/2) and -i log m chi(m) m^(-1/2) at t."""
+    def l_values(self, t: np.ndarray):
+        """L(1/2 + it) and dL/dt at a 1-d array of heights, per run of _CHUNK
+        sorted by |t| with one N: the leading sum against chi(m) m^(-1/2)
+        (1, -i log m), in slabs of _SLAB terms m, plus `_tail_sum`."""
         t = np.asarray(t, dtype=np.float64)
-        return self.z_from_taylor(t, t, *self.leading_sum_taylor(t, 0.0))
+        order = np.argsort(np.abs(t))
+        logm, amp = self._flat_coeffs(self._em_n(float(np.max(np.abs(t), initial=0.0))))
+        w = np.column_stack([amp, -1j * logm * amp])
+        out = np.empty((t.size, 2), dtype=np.complex128)
+        blocks = np.empty(_CHUNK * _SLAB, dtype=np.complex128)
+        for start in range(0, t.size, _CHUNK):
+            idx = order[start:start + _CHUNK]
+            N = self._em_n(abs(t[idx[-1]]))
+            lm = logm[:self.residues.size * N]
+            acc = np.column_stack(self._tail_sum(t[idx], N))
+            for lo in range(0, lm.size, _SLAB):
+                m = slice(lo, min(lo + _SLAB, lm.size))
+                block = blocks[:idx.size * (m.stop - lo)].reshape(idx.size, -1)
+                block.real = 0
+                np.multiply.outer(t[idx], -lm[m], out=block.imag)
+                acc += np.exp(block, out=block) @ w[m]
+            out[idx] = acc
+        return out.T
 
-    def leading_sum_taylor(self, centres: np.ndarray, radius: float,
-                           step: float | None = None):
+    def z_and_derivative(self, t: np.ndarray):
+        """Z(t) and Z'(t): `l_values` rotated by theta."""
+        return np.real(np.exp(1j * self.theta(t)) * self.l_values(t))
+
+    def leading_sum_taylor(self, centres: np.ndarray, radius: float, step: float):
         """Taylor coefficients of L(1/2 + it) around each centre: the leading
         sum S plus the Euler-Maclaurin tail at the same N.
 
         S(t) = sum_m chi(m) m^(-1/2) e^(-i t log m) is entire, so
         S(c + d) = sum_k coef[k] d^k with coef[k] = sum_m e^(-i c log m)
-        chi(m) m^(-1/2) (-i log m)^k / k!: per run of sorted centres with one N,
-        a complex phase block times the (M, K) matrix of those weights.  With
-        `step` (ascending centres spaced by it), only the block's first row,
-        its doublings e^(-i 2^b step log m) and its shifts e^(-i jr step log m)
-        along the run, folded into the weights, are evaluated.  The product is
-        summed over slabs of _SLAB terms m, so memory is the output, the (M, K)
-        weights, O((log2 r + nb) M) phase factors per run (r nb centres with
-        `step`) and one slab, not a block as long as the sum.  K is the least
-        order >= 2 with (radius log m_max)^K / K! <= 2^-64 at the largest N, so
-        for |d| <= radius the dropped orders are below 2^-64 sum |chi(m)|
-        m^(-1/2).  At |d| = radius Horner's terms, and their rounding, can
-        reach e^x times that sum, x = radius log m_max (3-5, K = 31-38, in
-        the tables' scans).  Each run's tail comes from one interpolant
-        (`_tail_taylor`).  Returns the (n, K) complex coefficients and each N.
+        chi(m) m^(-1/2) (-i log m)^k / k!: per run of r nb ascending centres
+        spaced by `step` with one N, a complex phase block times the (M, K)
+        matrix of those weights, of which only the first row, its doublings
+        e^(-i 2^b step log m) and its shifts e^(-i jr step log m) along the run,
+        folded into the weights, are evaluated.  The product is summed over
+        slabs of _SLAB terms m, so memory is the output, the weights,
+        O((log2 r + nb) M) phase factors and one slab, not a block as long as
+        the sum.  K is the least order >= 2 with (radius log m_max)^K / K! <=
+        2^-64 at the largest N, so for |d| <= radius the dropped orders are
+        below 2^-64 sum |chi(m)| m^(-1/2).  At |d| = radius Horner's terms, and
+        their rounding, can reach e^x times that sum, x = radius log m_max (3-5,
+        K = 31-38, in the tables' scans).  Each run's tail comes from one
+        interpolant (`_tail_taylor`).  Returns the (n, K) complex coefficients.
         """
         c = np.asarray(centres, dtype=np.float64)
         n_max = self._em_n(float(np.max(np.abs(c), initial=0.0)) + radius)
@@ -245,52 +262,39 @@ class FastLEvaluator:
         np.divide(-1j * logm[:, None], np.arange(1, K), out=w[:, 1:])
         np.cumprod(w, axis=1, out=w)
         coef = np.empty((c.size, K), dtype=np.complex128)
-        Ns = np.empty(c.size, dtype=np.int64)
-        # N at each run's largest |c| + radius; with `step`, r ~ sqrt(K run)
+        # N at each run's largest |c| + radius; r ~ sqrt(K run)
         order = np.argsort(c)
-        run = _CHUNK if step is None else _CHUNK ** 2 // (4 * K)
+        run = _CHUNK ** 2 // (4 * K)
         for start in range(0, c.size, run):
             idx = order[start:start + run]
-            Ns[idx] = N = self._em_n(float(np.max(np.abs(c[idx]))) + radius)
+            N = self._em_n(float(np.max(np.abs(c[idx]))) + radius)
             lm = logm[:self.residues.size * N]
             tail = self._tail_taylor(c[idx], radius, K, N)
-            r, nb = idx.size, 1
-            if step is not None:
-                # row i + jr of the run is row i of the block times e^(-i jr step log m)
-                r = 2 ** round(math.log2(idx.size * K) / 2)
-                nb = -(-idx.size // r)
-                first = np.exp(-1j * c[idx[0]] * lm)
-                levels = 2 ** np.arange(r.bit_length() - 1)
-                doubling = np.exp(-1j * step * np.multiply.outer(levels, lm))
-                shift = np.exp(-1j * (r * step) * np.outer(lm, np.arange(nb)))
+            # row i + jr of the run is row i of the block times e^(-i jr step log m)
+            r = 2 ** round(math.log2(idx.size * K) / 2)
+            nb = -(-idx.size // r)
+            first = np.exp(-1j * c[idx[0]] * lm)
+            levels = 2 ** np.arange(r.bit_length() - 1)
+            doubling = np.exp(-1j * step * np.multiply.outer(levels, lm))
+            shift = np.exp(-1j * (r * step) * np.outer(lm, np.arange(nb)))
             # the run's block times the weights, summed over slabs of _SLAB terms m
             acc = np.zeros((r, nb * K), dtype=np.complex128)
             blocks = np.empty(r * _SLAB, dtype=np.complex128)
             for lo in range(0, lm.size, _SLAB):
                 m = slice(lo, min(lo + _SLAB, lm.size))
                 block = blocks[:r * (m.stop - lo)].reshape(r, -1)
-                if step is None:
-                    block.real = 0
-                    np.multiply.outer(c[idx], -lm[m], out=block.imag)
-                    acc += np.exp(block, out=block) @ w[m]
-                    continue
                 block[0] = first[m]
                 for b, n in enumerate(levels):
                     np.multiply(block[:n], doubling[b, m], out=block[n:2 * n])
                 acc += block @ (shift[m, :, None] * w[m, None, :]).reshape(-1, nb * K)
             coef[idx] = acc.reshape(r, nb, K).swapaxes(0, 1).reshape(-1, K)[:idx.size] + tail
-        return coef, Ns
+        return coef
 
-    def z_from_taylor(self, t, centres, coef, N):
-        """Z and Z' at each t from the expansion (coef, N) of `leading_sum_taylor`
-        around its centre c: L and L' by Horner in t - c, rotated by theta.  N
-        is each expansion's Euler-Maclaurin length, kept for bookkeeping; the
-        tail at that N is already in coef."""
-        return self._from_taylor(t, centres, coef, N, derivative=True)
-
-    def _from_taylor(self, t, centres, coef, N, derivative: bool):
-        """`z_from_taylor`, with Z' only if `derivative` (else None); N is not
-        read.  Z' = Re[e^(i theta) L'], as i theta' Z is imaginary."""
+    def z_from_taylor(self, t, centres, coef, derivative: bool = True):
+        """Z and Z' (None unless `derivative`) at each t from the expansion
+        coef of `leading_sum_taylor` around its centre c: L and L' by Horner
+        in t - c, rotated by theta.  Z' = Re[e^(i theta) L'], as i theta' Z is
+        imaginary."""
         d = t - centres
         L, dL = coef[:, -1], 0
         for k in range(coef.shape[1] - 2, -1, -1):
@@ -332,24 +336,21 @@ def _rescue_minima(t, z, z_at):
     return _brackets_from_grid(tt, zz)
 
 
-def _newton(ev, brackets, expansion=None):
+def _newton(ev, brackets, centre, coef):
     """Lockstep safeguarded Newton over all brackets at once.
 
-    Every step reads Z and Z' from one expansion of the leading sum per
-    bracket (`FastLEvaluator.z_from_taylor`): `expansion` is (centre, coef, N)
-    per bracket, by default around its centre to half the widest bracket.
-    Every evaluation keeps the sign-change bracket [a, b]; a Newton step that
-    leaves it falls back to the midpoint.  The first point of each bracket is
-    its secant point.  A bracket is closed once it is no wider than
-    _NEWTON_TOL, or than two float64 spacings where those are wider (above
-    t = 2^15).  When the Newton point would close it, the next point is taken
-    a quarter of _NEWTON_TOL (or one spacing) past it, so that it lands beyond
-    the root and closes the bracket in one evaluation.  Returns the midpoints
-    (an empty array for no brackets).
+    Every step reads Z and Z' from one expansion of L per bracket, around
+    `centre` (`FastLEvaluator.z_from_taylor` of `coef`).  Every evaluation keeps
+    the sign-change bracket [a, b]; a Newton step that leaves it falls back to
+    the midpoint.  The first point of each bracket is its secant point.  A
+    bracket is closed once it is no wider than _NEWTON_TOL, or than two
+    float64 spacings where those are wider (above t = 2^15).  When the Newton
+    point would close it, the next point is taken a quarter of _NEWTON_TOL (or
+    one spacing) past it, so that it lands beyond the root and closes the
+    bracket in one evaluation.  Returns the midpoints (an empty array for no
+    brackets).
     """
     a, b, fa, fb = (np.array(x, dtype=np.float64) for x in brackets)
-    centre, coef, N = expansion or (0.5 * (a + b), *ev.leading_sum_taylor(
-        0.5 * (a + b), 0.5 * float(np.max(b - a, initial=0.0))))
     # Z and Z' at the last point evaluated in each bracket (an endpoint)
     x = np.full(a.size, np.nan)
     fx = np.zeros(a.size)
@@ -370,7 +371,7 @@ def _newton(ev, brackets, expansion=None):
                      np.where(np.abs(step) + past <= width[active],
                               xx + step + np.copysign(past, step), xx + step))
         p = np.where((p > aa) & (p < bb), p, 0.5 * (aa + bb))
-        fp, dfp = ev.z_from_taylor(p, centre[active], coef[active], N[active])
+        fp, dfp = ev.z_from_taylor(p, centre[active], coef[active])
         left = fa[active] * fp < 0  # root in [a, p]
         a[active] = np.where(left, aa, p)
         fa[active] = np.where(left, fa[active], fp)
@@ -397,19 +398,19 @@ def scan_zeros(chi, t_max: float, refine_factor: int = 1, side: int = 1):
     t = t0 + np.arange(count) * h
     H = _SPAN * h  # one expansion per span, to radius H/2; spans end on grid points
     centres = t0 + (np.arange(-(-(count - 1) // _SPAN)) + 0.5) * H
-    coef, N = ev.leading_sum_taylor(centres, 0.5 * H, step=H)
+    coef = ev.leading_sum_taylor(centres, 0.5 * H, step=H)
 
     def expansion_of(x):  # the expansion whose span holds each height
         j = np.clip(((x - t0) // H).astype(np.intp), 0, centres.size - 1)
-        return centres[j], coef[j], N[j]
+        return centres[j], coef[j]
 
     def z_at(x):
-        return ev._from_taylor(x, *expansion_of(x), derivative=False)[0]
+        return ev.z_from_taylor(x, *expansion_of(x), derivative=False)[0]
 
     z = z_at(t)
     brackets = [np.concatenate(parts) for parts in
                 zip(_brackets_from_grid(t, z), _rescue_minima(t, z, z_at))]
-    gammas = _newton(ev, brackets, expansion_of(0.5 * (brackets[0] + brackets[1])))
+    gammas = _newton(ev, brackets, *expansion_of(0.5 * (brackets[0] + brackets[1])))
     gammas = np.sort(-gammas if side < 0 else gammas)
     return gammas[(gammas > 0) & (gammas <= t_max)]
 
