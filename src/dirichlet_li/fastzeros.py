@@ -10,19 +10,23 @@ Direct L(1/2 + it) and dL/dt come from `l_values`, which sums the leading
 Dirichlet sum and the Euler-Maclaurin tail at each height.  A scan reads
 Taylor expansions of L around centres (`leading_sum_taylor`), whose tail part
 comes off one Chebyshev interpolant per run of centres sharing one N; only
-they read it.  A scan with grid step h (h log(q t_max) <= pi)
-expands around every 4-cell span's midpoint (_SPAN), to radius 2h, from
-phases doubled along them; grid values, rescue sub-grids and Newton steps
-read it by Horner in the span holding them and rotate by theta.  Phases are
-formed and multiplied into the weights in slabs of _SLAB terms m, so the
-working memory does not grow with the sum's length (M = phi(q) N, N ~ t/4)
-beyond the (M, K) weights and a few M-long phase factors.  An
+they read it.  They expand e^(i d lam) L(c + d), lam = log(q n_max) / 2, a
+frame that centres the frequencies log m in [0, 2 lam], so the order covers
+x = radius lam.  A scan with grid step h (h log(q t_max) <= pi) expands
+around every 8-cell span's midpoint (_SPAN), to radius 4h, from phases
+doubled along them.  Its grid points sit at offsets (k - 4) h, k = 0..8,
+from their spans' centres, so the grid is one product with the powers of
+those offsets, then one rotation by theta (`z_grid`); rescue sub-grids and
+Newton steps read the span holding them by Horner (`z_from_taylor`).
+Phases are formed and multiplied into the weights in slabs of _SLAB terms m,
+so the working memory does not grow with the sum's length (M = phi(q) N,
+N ~ t/4) beyond the (M, K) weights and a few M-long phase factors.  An
 ordinate is the midpoint of a float64 sign-change bracket no wider than
 1e-11, or than two float64 spacings above t = 2^15.  The Euler-Maclaurin
 truncation sits near 1e-13, but each phase t log m carries about one ulp of
 absolute error, so Z from different expansions, or from a scan's expansion
-and direct `z_values`, differs by up to 5.7e-14 at t = 30, 4.9e-12 at
-t = 1500 and 3.8e-11 at t = 8600 (3.1, 5.1 and 60.14, both half planes);
+and direct `z_values`, differs by up to 6.5e-14 at t = 30, 5.0e-12 at
+t = 1500 and 4.2e-11 at t = 8600 (3.1, 5.1 and 60.14, both half planes);
 the sign of a bracket end is not certain where |Z| is that small.  Tests
 compare Z and sampled zeros with the mpmath `hardy_z` and `xi_value` in
 `lfunc`; nothing certifies them.
@@ -40,7 +44,7 @@ from .specfun import bernoulli
 
 # Bumped whenever a change to the finder can move the ordinates it returns;
 # caches of computed zero lists are keyed on it.
-FINDER_VERSION = 9
+FINDER_VERSION = 10
 
 _R_MAX = 40
 _NEWTON_TOL = 1e-11    # closed bracket width, or two float64 spacings above it
@@ -48,7 +52,7 @@ _NEWTON_ITMAX = 80     # lockstep refinement passes at most
 _RESCUE_DEPTH = 32     # sub-cells of a grid cell holding a minimum of |Z|
 _CHUNK = 256           # rows of a run's phase block, at most
 _SLAB = 512            # terms m per product of a run's phase block and weights
-_SPAN = 4              # grid cells per expansion of a scan's leading sum
+_SPAN = 8              # grid cells per expansion of a scan's leading sum
 
 
 @functools.cache
@@ -56,6 +60,15 @@ def _bernoulli_coeffs() -> np.ndarray:
     """B_{2r}/(2r)! as float64, r = 1.._R_MAX."""
     return np.array([float(bernoulli(2 * r) / math.factorial(2 * r))
                      for r in range(1, _R_MAX + 1)])
+
+
+def _order(x: float) -> int:
+    """The least K >= 2 with x^K / K! <= 2^-64."""
+    K, term = 2, x * x / 2
+    while term > 2.0 ** -64:
+        K += 1
+        term *= x / K
+    return K
 
 
 def _im_log_gamma(x, y: np.ndarray) -> np.ndarray:
@@ -170,14 +183,14 @@ class FastLEvaluator:
         from numpy.polynomial import chebyshev as C
         lam = math.log(self.q * (N + 0.5))
         lo, hi = centres.min() - radius, centres.max() + radius
-        mid, half = 0.5 * (lo + hi), max(0.5 * (hi - lo), 1.0)
+        mid, half = 0.5 * (lo + hi), max(0.5 * (hi - lo), N)
         noise = 2.0 ** -52 * (1 + (abs(mid) + half) * lam)
 
         def g(x):
             t = mid + half * x
             return self._tail_sum(t, N)[0] * np.exp(1j * lam * t)
 
-        for n in (16, 32, 64, 128):
+        for n in (32, 64, 128):
             a = C.chebinterpolate(g, n)
             size = np.abs(a)
             if size[-3:].max() <= noise * size.max():
@@ -229,39 +242,44 @@ class FastLEvaluator:
         return np.real(np.exp(1j * self.theta(t)) * self.l_values(t))
 
     def leading_sum_taylor(self, centres: np.ndarray, radius: float, step: float):
-        """Taylor coefficients of L(1/2 + it) around each centre: the leading
-        sum S plus the Euler-Maclaurin tail at the same N.
+        """Taylor coefficients of e^(i d lam) L(1/2 + i(c + d)) in d around
+        each centre c, lam = log(q n_max) / 2: the leading sum S plus the
+        Euler-Maclaurin tail at the same N, in a frame whose carrier e^(-i d lam)
+        centres the band of frequencies log m in [0, 2 lam].
 
         S(t) = sum_m chi(m) m^(-1/2) e^(-i t log m) is entire, so
-        S(c + d) = sum_k coef[k] d^k with coef[k] = sum_m e^(-i c log m)
-        chi(m) m^(-1/2) (-i log m)^k / k!: per run of r nb ascending centres
-        spaced by `step` with one N, a complex phase block times the (M, K)
-        matrix of those weights, of which only the first row, its doublings
-        e^(-i 2^b step log m) and its shifts e^(-i jr step log m) along the run,
-        folded into the weights, are evaluated.  The product is summed over
-        slabs of _SLAB terms m, so memory is the output, the weights,
-        O((log2 r + nb) M) phase factors and one slab, not a block as long as
-        the sum.  K is the least order >= 2 with (radius log m_max)^K / K! <=
-        2^-64 at the largest N, so for |d| <= radius the dropped orders are
-        below 2^-64 sum |chi(m)| m^(-1/2).  At |d| = radius Horner's terms, and
-        their rounding, can reach e^x times that sum, x = radius log m_max (3-5,
-        K = 31-38, in the tables' scans).  Each run's tail comes from one
-        interpolant (`_tail_taylor`).  Returns the (n, K) complex coefficients.
+        e^(i d lam) S(c + d) = sum_k coef[k] d^k with coef[k] = sum_m
+        e^(-i c log m) chi(m) m^(-1/2) (-i (log m - lam))^k / k!: per run of
+        r nb ascending centres spaced by `step` with one N, a complex phase
+        block times the (M, K) matrix of those weights, of which only the first
+        row, its doublings e^(-i 2^b step log m) and its shifts
+        e^(-i jr step log m) along the run, folded into the weights, are
+        evaluated.  The product is summed over slabs of _SLAB terms m, so
+        memory is the output, the weights, O((log2 r + nb) M) phase factors and
+        one slab, released before the next run's are built.  |log m - lam| <=
+        lam, so K is `_order(x)`, x = radius lam, and for |d| <= radius the
+        dropped orders are below 2^-64 sum |chi(m)| m^(-1/2); at |d| = radius
+        Horner's terms, and their rounding, can reach e^x times that sum (x is
+        3-5, K = 31-38, in the tables' scans at _SPAN = 8).  Each run's tail
+        comes from one interpolant (`_tail_taylor`) as a plain series, of order
+        `_order(2 x)`, carried into the frame by the series of e^(i d lam).
+        Returns the (n, K + 1) complex coefficients, lam in the last column.
         """
         c = np.asarray(centres, dtype=np.float64)
         n_max = self._em_n(float(np.max(np.abs(c), initial=0.0)) + radius)
-        x = radius * math.log(self.q * n_max)
-        K, term = 2, x * x / 2
-        while term > 2.0 ** -64:
-            K += 1
-            term *= x / K
+        lam = 0.5 * math.log(self.q * n_max)
+        K = _order(radius * lam)
         # the flattened sum of length phi(q)*N is a prefix of the longest one
         logm, amp = self._flat_coeffs(n_max)
         w = np.empty((logm.size, K), dtype=np.complex128)
         w[:, 0] = amp
-        np.divide(-1j * logm[:, None], np.arange(1, K), out=w[:, 1:])
+        np.divide(-1j * (logm[:, None] - lam), np.arange(1, K), out=w[:, 1:])
         np.cumprod(w, axis=1, out=w)
-        coef = np.empty((c.size, K), dtype=np.complex128)
+        # carry[j, k]: the coefficient of d^(k - j) in e^(i d lam)
+        carry = np.cumprod(np.append(1.0, 1j * lam / np.arange(1, K)))
+        carry = np.triu(carry[np.abs(np.subtract.outer(np.arange(K), np.arange(K)))])
+        coef = np.empty((c.size, K + 1), dtype=np.complex128)
+        coef[:, K] = lam
         # N at each run's largest |c| + radius; r ~ sqrt(K run)
         order = np.argsort(c)
         run = _CHUNK ** 2 // (4 * K)
@@ -269,14 +287,14 @@ class FastLEvaluator:
             idx = order[start:start + run]
             N = self._em_n(float(np.max(np.abs(c[idx]))) + radius)
             lm = logm[:self.residues.size * N]
-            tail = self._tail_taylor(c[idx], radius, K, N)
+            tail = self._tail_taylor(c[idx], radius, _order(2 * radius * lam), N)[:, :K] @ carry
             # row i + jr of the run is row i of the block times e^(-i jr step log m)
             r = 2 ** round(math.log2(idx.size * K) / 2)
             nb = -(-idx.size // r)
-            first = np.exp(-1j * c[idx[0]] * lm)
             levels = 2 ** np.arange(r.bit_length() - 1)
-            doubling = np.exp(-1j * step * np.multiply.outer(levels, lm))
-            shift = np.exp(-1j * (r * step) * np.outer(lm, np.arange(nb)))
+            first, doubling, shift = (np.exp(x, out=x) for x in (
+                (-1j * c[idx[0]]) * lm, np.multiply.outer(-1j * step * levels, lm),
+                np.multiply.outer(lm, -1j * (r * step) * np.arange(nb))))
             # the run's block times the weights, summed over slabs of _SLAB terms m
             acc = np.zeros((r, nb * K), dtype=np.complex128)
             blocks = np.empty(r * _SLAB, dtype=np.complex128)
@@ -287,21 +305,35 @@ class FastLEvaluator:
                 for b, n in enumerate(levels):
                     np.multiply(block[:n], doubling[b, m], out=block[n:2 * n])
                 acc += block @ (shift[m, :, None] * w[m, None, :]).reshape(-1, nb * K)
-            coef[idx] = acc.reshape(r, nb, K).swapaxes(0, 1).reshape(-1, K)[:idx.size] + tail
+            coef[idx, :K] = acc.reshape(r, nb, K).swapaxes(0, 1).reshape(-1, K)[:idx.size] + tail
+            del first, doubling, shift, acc, blocks
         return coef
 
     def z_from_taylor(self, t, centres, coef, derivative: bool = True):
         """Z and Z' (None unless `derivative`) at each t from the expansion
-        coef of `leading_sum_taylor` around its centre c: L and L' by Horner
-        in t - c, rotated by theta.  Z' = Re[e^(i theta) L'], as i theta' Z is
-        imaginary."""
+        coef of `leading_sum_taylor` around its centre c: F(d) = e^(i d lam)
+        L(c + d) and F' by Horner in d = t - c, rotated by theta(t) - d lam.
+        L' = e^(-i d lam) (F' - i lam F), and Z' = Re[e^(i theta) L'], as
+        i theta' Z is imaginary."""
         d = t - centres
-        L, dL = coef[:, -1], 0
-        for k in range(coef.shape[1] - 2, -1, -1):
-            dL = dL * d + L
-            L = L * d + coef[:, k]
-        rot = np.exp(1j * self.theta(t))
-        return np.real(rot * L), np.real(rot * dL) if derivative else None
+        lam = coef[:, -1].real
+        F, dF = coef[:, -2], 0
+        for k in range(coef.shape[1] - 3, -1, -1):
+            dF = dF * d + F
+            F = F * d + coef[:, k]
+        rot = np.exp(1j * (self.theta(t) - d * lam))
+        return np.real(rot * F), np.real(rot * (dF - 1j * lam * F)) if derivative else None
+
+    def z_grid(self, t, h, coef):
+        """Z on a scan's grid t = t0 + i h from `leading_sum_taylor` around
+        its spans' midpoints t0 + (j + 1/2) _SPAN h: point i sits at offset
+        d = (i mod _SPAN - _SPAN/2) h from that of span i // _SPAN (the last
+        point at +_SPAN/2 h of the last span), so L is one product of coef
+        with the powers of the _SPAN + 1 offsets times e^(-i d lam)."""
+        d = (np.arange(_SPAN + 1) - _SPAN // 2) * h
+        L = coef[:, :-1] @ (d ** np.arange(coef.shape[1] - 1)[:, None]
+                            * np.exp(-1j * coef[0, -1].real * d))
+        return np.real(np.exp(1j * self.theta(t)) * np.append(L[:, :-1], L[-1, -1])[:t.size])
 
     def z_values(self, t: np.ndarray) -> np.ndarray:
         return self.z_and_derivative(t)[0]
@@ -407,7 +439,7 @@ def scan_zeros(chi, t_max: float, refine_factor: int = 1, side: int = 1):
     def z_at(x):
         return ev.z_from_taylor(x, *expansion_of(x), derivative=False)[0]
 
-    z = z_at(t)
+    z = ev.z_grid(t, h, coef)
     brackets = [np.concatenate(parts) for parts in
                 zip(_brackets_from_grid(t, z), _rescue_minima(t, z, z_at))]
     gammas = _newton(ev, brackets, *expansion_of(0.5 * (brackets[0] + brackets[1])))

@@ -507,6 +507,50 @@ def test_scan_reads_one_expansion_set_centred_on_its_spans(q, label, monkeypatch
     assert np.all(np.abs(z - FastLEvaluator(chi).z_values(t)) <= 5e-15 * T + 1e-13)
 
 
+@pytest.mark.parametrize("q, label, side", [(3, 1, 1), (5, 1, 1), (5, 1, -1), (60, 14, 1)])
+def test_scan_expansions_give_direct_z_at_low_heights(q, label, side, monkeypatch):
+    # whole scans to low T, whose tail runs are far narrower than N (an
+    # interpolant only 2 wide missed Z by up to 3e6 at T = 2 for 60.14): each
+    # grid, and each span's expansion read at 17 points across it, against
+    # direct Z
+    built, grids = [], []
+    expand, bracket = FastLEvaluator.leading_sum_taylor, fastzeros._brackets_from_grid
+
+    def recorded_expand(self, centres, radius, step):
+        built.append((centres, radius, expand(self, centres, radius, step=step)))
+        return built[-1][2]
+
+    def recorded_bracket(t, z):
+        grids.append((t, z))
+        return bracket(t, z)
+
+    monkeypatch.setattr(FastLEvaluator, "leading_sum_taylor", recorded_expand)
+    monkeypatch.setattr(fastzeros, "_brackets_from_grid", recorded_bracket)
+    chi = character_by_label(q, label)
+    ev = FastLEvaluator(chi)
+    for T in (2.0, 3.896, 5.0, 7.792, 12.0):
+        built.clear()
+        grids.clear()
+        fastzeros.scan_zeros(chi, T, side=side)
+        (centres, radius, coef), (t, z) = built[0], grids[0]
+        budget = 5e-15 * T + 1e-13
+        assert np.all(np.abs(z - ev.z_values(t)) <= budget), (T, "grid")
+        j = np.repeat(np.arange(centres.size), 17)
+        x = centres[j] + np.tile(np.linspace(-radius, radius, 17), centres.size)
+        z = ev.z_from_taylor(x, centres[j], coef[j], derivative=False)[0]
+        assert np.all(np.abs(z - ev.z_values(x)) <= budget), (T, "spans")
+
+
+def test_scan_finds_no_spurious_zero_at_low_heights():
+    # 60.14 below its second zero, and just above it, against the stored list
+    chi = character_by_label(60, 14)
+    ref = read_zeros(REFERENCE_DIR / "zeros_60_14.txt", chi_id=(60, 14)).gammas()[:2]
+    below = fastzeros.scan_zeros(chi, 3.896)
+    assert below.size == 1 and abs(below[0] - 1.88060641688) <= 1e-10
+    above = fastzeros.scan_zeros(chi, 5.0)
+    assert above.size == 2 and np.all(np.abs(above - ref) <= 1e-10)
+
+
 def _record_tail_runs(ev, monkeypatch):
     """Wrap ev._tail_taylor; returns the list of (centres, radius, N, output)
     of every run it is called for."""
@@ -573,7 +617,7 @@ def test_tail_interpolant_matches_tail_sum_across_scan_spans(q, label, side, mon
 @pytest.mark.parametrize("t", [0.0, 14.1, -222.5, 8600.4])
 def test_single_height_z_reads_the_tail_at_that_height(t):
     # the tail's interpolant on a run of zero width (one centre, radius 0),
-    # which `_tail_taylor` widens to width 2 as it does a scan's short runs:
+    # which `_tail_taylor` widens to half-width N as it does a scan's short runs:
     # its two coefficients are the tail and its derivative at that height
     ev = FastLEvaluator(character_by_label(5, 1))
     N = ev._em_n(abs(t))
