@@ -14,22 +14,23 @@ they read it.  They expand e^(i d lam) L(c + d), lam = log(q n_max) / 2, a
 frame that centres the frequencies log m in [0, 2 lam], so the order covers
 x = radius lam.  A scan with grid step h (h log(q t_max) <= pi) expands
 around every 8-cell span's midpoint (_SPAN), to radius 4h, from phases
-doubled along them.  Its grid points sit at offsets (k - 4) h, k = 0..8,
-from their spans' centres, so the grid is one product with the powers of
-those offsets, then one rotation by theta (`z_grid`); rescue sub-grids and
-Newton steps read the span holding them by Horner (`z_from_taylor`).
+doubled along them.  Every height is read from its span's expansion by
+Horner (`z_from_taylor`): the grid as one (spans, _SPAN) view against the
+spans' coefficients, with no coefficient row gathered per grid point, and
+rescue sub-grids and Newton steps through the span holding each point.
 Phases are formed and multiplied into the weights in slabs of _SLAB terms m,
 so the working memory does not grow with the sum's length (M = phi(q) N,
 N ~ t/4) beyond the (M, K) weights and a few M-long phase factors.  An
 ordinate is the midpoint of a float64 sign-change bracket no wider than
 1e-11, or than two float64 spacings above t = 2^15.  The Euler-Maclaurin
-truncation sits near 1e-13, but each phase t log m carries about one ulp of
-absolute error, so Z from different expansions, or from a scan's expansion
-and direct `z_values`, differs by up to 6.5e-14 at t = 30, 5.0e-12 at
-t = 1500 and 4.2e-11 at t = 8600 (3.1, 5.1 and 60.14, both half planes);
-the sign of a bracket end is not certain where |Z| is that small.  Tests
-compare Z and sampled zeros with the mpmath `hardy_z` and `xi_value` in
-`lfunc`; nothing certifies them.
+truncation sits near 1e-13, but each direct phase t log m carries about one
+ulp of absolute error, so a scan's expansion and direct `z_values` differ by
+up to 4.3e-14 at t = 30, 2.5e-12 at t = 1500 and 1.9e-11 at t = 8600 (3.1,
+5.1 and 60.14, both half planes), nearly all of it direct Z's: the
+expansions correct the rounding of their first phase rows and of their
+centres (`leading_sum_taylor`).  The sign of a bracket end is not certain
+where |Z| is that small.  Tests compare Z and sampled zeros with the
+mpmath `hardy_z` and `xi_value` in `lfunc`; nothing certifies them.
 """
 
 from __future__ import annotations
@@ -83,6 +84,21 @@ def _im_log_gamma(x, y: np.ndarray) -> np.ndarray:
                     + (np.polyval(c, 1 / (w * w)) / w).imag)
     lg[near] -= np.arctan2(y[near, None], x[near, None] + np.arange(8)).sum(axis=-1)
     return lg
+
+
+def _split(a):
+    """a = hi + lo with hi of 26 bits (Veltkamp), so products of halves are exact."""
+    hi = 134217729.0 * a  # 2^27 + 1
+    hi -= hi - a
+    return hi, a - hi
+
+
+def _phase_factors(c: float, lm: np.ndarray) -> np.ndarray:
+    """e^(-i c log m) corrected to first order for the rounding of c log m,
+    which Dekker's product gives exactly (Numer. Math. 18 (1971))."""
+    p = c * lm
+    (ch, cl), (mh, ml) = _split(c), _split(lm)
+    return np.exp(-1j * p) * (1 - 1j * (((ch * mh - p) + ch * ml + cl * mh) + cl * ml))
 
 
 class FastLEvaluator:
@@ -171,13 +187,13 @@ class FastLEvaluator:
         frequency log(qN + a) lies within 1/(2N) of lam, and the 1/(s-1) terms
         cancel over a non-principal chi, so g is smooth on the scale of N.  g
         is interpolated in the n + 1 Chebyshev points (of the first kind) of
-        [min c - radius, max c + radius], widened to width 2 at least, for
-        n = 16, 32, 64 and 128 until its last three Chebyshev coefficients fall
-        below the rounding of the sampled phases, 2^-52 (1 + max|t| lam)
-        max|a|; the coefficients above that level are kept.  The tail's k-th
-        Taylor coefficient at c is e^(-i c lam) [(d/dt - i lam)^k g](c) / k!:
-        that operator is applied k times to the Chebyshev coefficients, and
-        the series summed at each centre.
+        [min c - radius, max c + radius], widened to half-width N at least
+        (g's own scale), for n = 32, 64 and 128 until its last three
+        Chebyshev coefficients fall below the rounding of the sampled phases,
+        2^-52 (1 + max|t| lam) max|a|; the coefficients above that level are
+        kept.  The tail's k-th Taylor coefficient at c is e^(-i c lam)
+        [(d/dt - i lam)^k g](c) / k!: that operator is applied k times to the
+        Chebyshev coefficients, and the series summed at each centre.
         """
         # imported here, so that commands which never scan do not load it
         from numpy.polynomial import chebyshev as C
@@ -254,15 +270,21 @@ class FastLEvaluator:
         block times the (M, K) matrix of those weights, of which only the first
         row, its doublings e^(-i 2^b step log m) and its shifts
         e^(-i jr step log m) along the run, folded into the weights, are
-        evaluated.  The product is summed over slabs of _SLAB terms m, so
-        memory is the output, the weights, O((log2 r + nb) M) phase factors and
-        one slab, released before the next run's are built.  |log m - lam| <=
+        evaluated; the first row's phases are corrected for their rounding
+        (`_phase_factors`).  Row i of a run is expanded at c_0 + i step, which
+        misses its float centre by that centre's rounding, about one ulp of c;
+        the series is moved there to first order.  The product is summed over
+        slabs of _SLAB terms m, so memory is the output, the weights,
+        O((log2 r + nb) M) phase factors and one slab, released before the
+        next run's are built.  |log m - lam| <=
         lam, so K is `_order(x)`, x = radius lam, and for |d| <= radius the
         dropped orders are below 2^-64 sum |chi(m)| m^(-1/2); at |d| = radius
         Horner's terms, and their rounding, can reach e^x times that sum (x is
         3-5, K = 31-38, in the tables' scans at _SPAN = 8).  Each run's tail
-        comes from one interpolant (`_tail_taylor`) as a plain series, of order
-        `_order(2 x)`, carried into the frame by the series of e^(i d lam).
+        comes from one interpolant (`_tail_taylor`) as a plain series of order
+        `_order(2 x)`, a Taylor series of the tail in its own right across the
+        span, carried into the frame by the series of e^(i d lam): the frame's
+        coefficient k reads its coefficients 0..k only.
         Returns the (n, K + 1) complex coefficients, lam in the last column.
         """
         c = np.asarray(centres, dtype=np.float64)
@@ -292,9 +314,10 @@ class FastLEvaluator:
             r = 2 ** round(math.log2(idx.size * K) / 2)
             nb = -(-idx.size // r)
             levels = 2 ** np.arange(r.bit_length() - 1)
-            first, doubling, shift = (np.exp(x, out=x) for x in (
-                (-1j * c[idx[0]]) * lm, np.multiply.outer(-1j * step * levels, lm),
+            doubling, shift = (np.exp(x, out=x) for x in (
+                np.multiply.outer(-1j * step * levels, lm),
                 np.multiply.outer(lm, -1j * (r * step) * np.arange(nb))))
+            first = _phase_factors(c[idx[0]], lm)
             # the run's block times the weights, summed over slabs of _SLAB terms m
             acc = np.zeros((r, nb * K), dtype=np.complex128)
             blocks = np.empty(r * _SLAB, dtype=np.complex128)
@@ -305,35 +328,34 @@ class FastLEvaluator:
                 for b, n in enumerate(levels):
                     np.multiply(block[:n], doubling[b, m], out=block[n:2 * n])
                 acc += block @ (shift[m, :, None] * w[m, None, :]).reshape(-1, nb * K)
-            coef[idx, :K] = acc.reshape(r, nb, K).swapaxes(0, 1).reshape(-1, K)[:idx.size] + tail
-            del first, doubling, shift, acc, blocks
+            lead = acc.reshape(r, nb, K).swapaxes(0, 1).reshape(-1, K)[:idx.size]
+            # row i is expanded at c_0 + i step, delta short of its float
+            # centre: move it there, F(d) -> e^(-i delta lam) F(d + delta), to
+            # first order in delta
+            delta = (c[idx] - c[idx[0]] - np.arange(idx.size) * step)[:, None]
+            lead[:, :-1] += delta * np.arange(1, K) * lead[:, 1:]
+            coef[idx, :K] = lead * np.exp(-1j * lam * delta) + tail
+            del first, doubling, shift, acc, blocks, lead
         return coef
 
     def z_from_taylor(self, t, centres, coef, derivative: bool = True):
         """Z and Z' (None unless `derivative`) at each t from the expansion
-        coef of `leading_sum_taylor` around its centre c: F(d) = e^(i d lam)
-        L(c + d) and F' by Horner in d = t - c, rotated by theta(t) - d lam.
+        coef of `leading_sum_taylor` around its centre c, broadcast over t
+        (coefficients on the last axis of coef): F(d) = e^(i d lam) L(c + d)
+        and F' by Horner in d = t - c, rotated by theta(t) - d lam.
         L' = e^(-i d lam) (F' - i lam F), and Z' = Re[e^(i theta) L'], as
         i theta' Z is imaginary."""
         d = t - centres
-        lam = coef[:, -1].real
-        F, dF = coef[:, -2], 0
-        for k in range(coef.shape[1] - 3, -1, -1):
-            dF = dF * d + F
-            F = F * d + coef[:, k]
+        lam = coef[..., -1].real
+        dc = d.astype(np.complex128)  # Horner's products then need no cast
+        F, dF = coef[..., -2] + np.zeros_like(dc), 0
+        for k in range(coef.shape[-1] - 3, -1, -1):
+            if derivative:
+                dF = dF * dc + F
+            F *= dc
+            F += coef[..., k]
         rot = np.exp(1j * (self.theta(t) - d * lam))
         return np.real(rot * F), np.real(rot * (dF - 1j * lam * F)) if derivative else None
-
-    def z_grid(self, t, h, coef):
-        """Z on a scan's grid t = t0 + i h from `leading_sum_taylor` around
-        its spans' midpoints t0 + (j + 1/2) _SPAN h: point i sits at offset
-        d = (i mod _SPAN - _SPAN/2) h from that of span i // _SPAN (the last
-        point at +_SPAN/2 h of the last span), so L is one product of coef
-        with the powers of the _SPAN + 1 offsets times e^(-i d lam)."""
-        d = (np.arange(_SPAN + 1) - _SPAN // 2) * h
-        L = coef[:, :-1] @ (d ** np.arange(coef.shape[1] - 1)[:, None]
-                            * np.exp(-1j * coef[0, -1].real * d))
-        return np.real(np.exp(1j * self.theta(t)) * np.append(L[:, :-1], L[-1, -1])[:t.size])
 
     def z_values(self, t: np.ndarray) -> np.ndarray:
         return self.z_and_derivative(t)[0]
@@ -439,7 +461,10 @@ def scan_zeros(chi, t_max: float, refine_factor: int = 1, side: int = 1):
     def z_at(x):
         return ev.z_from_taylor(x, *expansion_of(x), derivative=False)[0]
 
-    z = ev.z_grid(t, h, coef)
+    # the grid points of each whole span against its expansion, then the rest
+    f = (count - 1) // _SPAN
+    z = np.append(ev.z_from_taylor(t[:f * _SPAN].reshape(f, _SPAN), centres[:f, None],
+                                   coef[:f, None], derivative=False)[0], z_at(t[f * _SPAN:]))
     brackets = [np.concatenate(parts) for parts in
                 zip(_brackets_from_grid(t, z), _rescue_minima(t, z, z_at))]
     gammas = _newton(ev, brackets, *expansion_of(0.5 * (brackets[0] + brackets[1])))

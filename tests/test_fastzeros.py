@@ -119,7 +119,7 @@ def test_refinement_evaluates_few_points_per_zero(q, label, monkeypatch):
     evaluate = FastLEvaluator.z_from_taylor
 
     def counted(self, t, centres, coef, derivative=True):
-        points.append(len(t))
+        points.append(np.size(t))
         return evaluate(self, t, centres, coef, derivative)
 
     monkeypatch.setattr(FastLEvaluator, "z_from_taylor", counted)
@@ -207,7 +207,7 @@ def test_refinement_reads_the_expansion_few_times_per_zero(q, label, monkeypatch
 
     def counted(self, t, centres, coef, derivative=True):
         if derivative:
-            points.append(len(t))
+            points.append(np.size(t))
         return evaluate(self, t, centres, coef, derivative)
 
     monkeypatch.setattr(FastLEvaluator, "z_from_taylor", counted)
@@ -416,11 +416,17 @@ def test_leading_sums_do_not_depend_on_slab_size(slab, monkeypatch):
 
     default = sums()
     monkeypatch.setattr(fastzeros, "_SLAB", slab)
-    for coef, coef_ref, top in zip(sums(), default, (c[-1] + 0.5 * H, T)):
+    (coef, rows), (coef_ref, rows_ref) = sums(), default
+    # the expansions' weights are centred on their frame's lam, the last
+    # column, which does not move; those of `l_values` are not centred
+    lam = coef_ref[0, -1].real
+    assert np.all(coef[:, -1] == coef_ref[:, -1])
+    for new, ref, top, centre in ((coef[:, :-1], coef_ref[:, :-1], c[-1] + 0.5 * H, lam),
+                                  (rows, rows_ref, T, 0.0)):
         logm, amp = ev._flat_coeffs(ev._em_n(top))
-        k = np.arange(coef.shape[1])
-        size = np.abs(amp) @ (logm[:, None] ** k / [math.factorial(j) for j in k])
-        assert np.all(np.abs(coef - coef_ref) <= 1e-13 * size), (slab, k.size)
+        k = np.arange(new.shape[1])
+        size = np.abs(amp) @ (np.abs(logm[:, None] - centre) ** k / [math.factorial(j) for j in k])
+        assert np.all(np.abs(new - ref) <= 1e-13 * size), (slab, k.size)
 
 
 def test_leading_sum_memory_does_not_grow_with_the_sum():
@@ -445,7 +451,8 @@ def test_leading_sum_memory_does_not_grow_with_the_sum():
         direct_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    M, K = ev.residues.size * ev._em_n(centres[-1] + 0.5 * H), coef.shape[1]
+    # K coefficients, then the frame's lam
+    M, K = ev.residues.size * ev._em_n(centres[-1] + 0.5 * H), coef.shape[1] - 1
     assert expansion_peak <= coef.nbytes + 2 * M * K * 16 + 4 * 2 ** 20, (expansion_peak, M, K)
     assert direct_peak <= 8 * 2 ** 20, direct_peak
 
@@ -480,7 +487,7 @@ def test_scan_reads_one_expansion_set_centred_on_its_spans(q, label, monkeypatch
 
     def counted_read(self, t, centres, coef, derivative=True):
         if derivative:  # the Newton passes
-            points.append(len(t))
+            points.append(np.size(t))
         return read(self, t, centres, coef, derivative)
 
     def direct(self, t):
@@ -550,6 +557,36 @@ def test_scan_finds_no_spurious_zero_at_low_heights():
     above = fastzeros.scan_zeros(chi, 5.0)
     assert above.size == 2 and np.all(np.abs(above - ref) <= 1e-10)
 
+
+@pytest.mark.parametrize("side", [1, -1])
+def test_scan_expansions_carry_little_phase_rounding_at_high_heights(side, monkeypatch):
+    # the last 40 spans of a scan of 5.1 to T = 8600, read at their 9 grid
+    # points each, against the leading sum with each phase t log m corrected
+    # for its rounding (plus the tail): the expansions are built and read at
+    # the same exact centres, so they stay within a tenth of the grid's
+    # 5e-15 T + 1e-13 budget, most of which direct Z spends on its own
+    # rounding (an expansion read about its rounded centre missed by 1.2 of it)
+    built = []
+    expand = FastLEvaluator.leading_sum_taylor
+
+    def recorded_expand(self, centres, radius, step):
+        built.append((centres, radius, expand(self, centres, radius, step=step)))
+        return built[-1][2]
+
+    monkeypatch.setattr(FastLEvaluator, "leading_sum_taylor", recorded_expand)
+    chi, T = character_by_label(5, 1), 8600.0
+    fastzeros.scan_zeros(chi, T, side=side)
+    centres, radius, coef = built[0]
+    span = slice(-40, None) if side > 0 else slice(0, 40)
+    centres, coef = centres[span, None], coef[span, None]
+    t = centres + np.linspace(-radius, radius, 9)
+    ev = FastLEvaluator(chi)
+    N = ev._em_n(T + radius)
+    logm, amp = ev._flat_coeffs(N)
+    L = fastzeros._phase_factors(t.reshape(-1, 1), logm) @ amp + ev._tail_sum(t.ravel(), N)[0]
+    z = np.real(np.exp(1j * ev.theta(t.ravel())) * L).reshape(t.shape)
+    err = np.abs(ev.z_from_taylor(t, centres, coef, derivative=False)[0] - z)
+    assert np.all(err <= 0.1 * (5e-15 * T + 1e-13)), err.max()
 
 def _record_tail_runs(ev, monkeypatch):
     """Wrap ev._tail_taylor; returns the list of (centres, radius, N, output)
