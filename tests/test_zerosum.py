@@ -1,6 +1,7 @@
 """Zero-sum Li coefficients: partial sums, tail bound, report."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from dirichlet_li.characters import character_by_label
 from dirichlet_li.errors import EmptyZeroList, NExceedsList, OutOfDomain, WDomainError
 from dirichlet_li.lfunc import ZeroList, ZeroRecord, find_zeros_merged
-from dirichlet_li.zerosum import (PartialSumParams, _kernel, _tail_closed_form,
+from dirichlet_li.zerosum import (_RESTART, PartialSumParams, _kernel, _tail_closed_form,
                                   asymptotic_model, choose_T0, li_zero_sum,
                                   partial_rh_report, tail_bound, zero_sum_prefix,
                                   zero_sum_values)
@@ -137,6 +138,37 @@ def test_one_row_zero_sum_equals_the_sweeps_row(zeros_q3):
         swept = zero_sum_values(zeros_q3, ns, N).tolist()
         alone = [zero_sum_values(zeros_q3, [n], N)[0] for n in ns.tolist()]
         assert [v.hex() for v in alone] == [v.hex() for v in swept], N
+
+
+def test_zero_sum_memory_stays_a_few_rows(zeros_q3):
+    # rows are summed as they are formed: no (n x N) matrix of terms
+    N = len(zeros_q3)
+    zero_sum_values(zeros_q3, range(1, 37))
+    tracemalloc.start()
+    try:
+        zero_sum_values(zeros_q3, range(1, 37))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 8 * N, peak
+
+
+@pytest.mark.parametrize("fixture", ["zeros_q60", "zeros_q3"])
+def test_zero_sum_across_a_restart(fixture, request):
+    # rows on both sides of the first sin restart and far past it; the first
+    # zero of 60.14 (theta ~ 0.26) is the widest angle on any list
+    zeros = request.getfixturevalue(fixture)
+    ns = [_RESTART - 1, _RESTART, _RESTART + 1, _RESTART + 2, 1000]
+    swept = zero_sum_values(zeros, ns)
+    factor = 2 if zeros.symmetric else 1
+    with mpmath.workprec(128):
+        thetas = [mpmath.atan(1 / (2 * mpmath.mpf(g))) for g in zeros.gammas().tolist()]
+        alphas = zeros.alphas().tolist()
+        for n, v in zip(ns, swept.tolist()):
+            assert zero_sum_values(zeros, [n])[0].hex() == v.hex(), n
+            ref = factor * 2 * mpmath.fsum(a * mpmath.sin(n * t) ** 2
+                                           for a, t in zip(alphas, thetas))
+            assert v == pytest.approx(float(ref), rel=1e-13), n
 
 
 @pytest.mark.parametrize("N", [0, -5])
