@@ -9,7 +9,8 @@ alternating binomial sum of zeta(j) that cancels about 2n bits; with the
 main term it is n [z^n] of the log Gamma factor, which `gamma_factor_terms`
 takes from one float64 FFT on a circle.  `kernel_sums` evaluates the k-sum
 in float64 for all requested n in one pass over a segmented sieve to the
-largest cutoff, so the value has no big-float step.
+largest cutoff, so the value has no big-float step; its blocks are sieved
+and summed on a thread pool sized by the CPUs available to the process.
 `prime_power_kernel_sum` evaluates the same sum in big floats at every M
 and is the reference the sweep is tested against.  The raw alternating
 binomial double sum is kept only as a test oracle.
@@ -18,6 +19,7 @@ binomial double sum is kept only as a test oracle.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import mpmath
@@ -27,7 +29,7 @@ from .characters import DirichletCharacter
 from .errors import ConductorOne, NotPrimitive, OutOfDomain
 from .fastzeros import _im_log_gamma
 from .precision import PrecisionConfig, arith_precision
-from .primes import is_prime, prime_power_segments, prime_powers
+from .primes import SievePlan, is_prime, prime_powers
 from .results import LiResult
 from .specfun import laguerre_L1, lambert_w_m1
 
@@ -37,6 +39,12 @@ _BOUND_MIN_M = 16
 # Prime powers per pass of `kernel_sums`: its three recurrence rows, log k
 # and the weights (about 0.6 MB) stay in a core's L2 cache.
 _CHUNK = 1 << 14
+
+
+def _workers(jobs: int) -> int:
+    """Threads for `jobs` sieve blocks: one per CPU this process may run on."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(cpus or 1, jobs)
 
 
 @dataclass(frozen=True)
@@ -95,17 +103,24 @@ def _kernel_sum_mp(n, chi, M, prec):
 
 def kernel_sums(ns, chi: DirichletCharacter, Ms) -> np.ndarray:
     """-sum over prime powers k = p^m <= M_i of (log p / k) chi(k) L^1_{n_i-1}(log k)
-    for every pair (n_i, M_i), in float64, from one streamed sieve to max(Ms).
+    for every pair (n_i, M_i), in float64, from one segmented sieve to max(Ms).
 
-    Each block of `prime_power_segments` is walked in chunks of _CHUNK prime
-    powers.  A chunk runs the upward Laguerre recurrence
+    One job per block of the `SievePlan` sieves it and walks its prime
+    powers in chunks of _CHUNK.  A chunk takes log p from its log k
+    (`SievePlan.set_log_p`), so a job holds no log p array for its block,
+    and runs the upward Laguerre recurrence
     L_d = (2 - x/d) L_{d-1} - L_{d-2} at x = log k, L_0 = 1, L_{-1} = 0, in
-    three buffers it rotates, to degree max(ns) - 1, and at degree n_i - 1
-    adds the dot product of the weights chi(k) log p / k with it over the
-    k <= M_i of the chunk.  The recurrence is stable, and the truncation
-    estimate 3 sqrt(n / M) stays orders of magnitude above the rounding of
-    the sum.  Returns a complex128 array (imaginary parts 0 for a real
-    character).
+    three buffers it rotates, to degree max(ns) - 1; at degree n_i - 1 it
+    adds the sum of the weights chi(k) log p / k times L_d over the k <= M_i
+    of the chunk.  That sum is numpy's pairwise `sum` of the product, not
+    the BLAS dot `@`: OpenBLAS threads a dot of more than 10^4 terms, which
+    keeps a second core spinning and stalls when that core is busy.  The
+    jobs run on a thread pool of one worker per CPU available to the process
+    (numpy releases the GIL in its loops), and their partial sums are added
+    in block order, so the value does not depend on the number of workers.
+    The recurrence is stable, and the truncation estimate 3 sqrt(n / M)
+    stays orders of magnitude above the rounding of the sum.  Returns a
+    complex128 array (imaginary parts 0 for a real character).
     """
     ns, Ms = list(ns), list(Ms)
     if len(ns) != len(Ms):
@@ -118,22 +133,24 @@ def kernel_sums(ns, chi: DirichletCharacter, Ms) -> np.ndarray:
     at_degree: dict[int, list[int]] = {}
     for i, n in enumerate(ns):
         at_degree.setdefault(n - 1, []).append(i)
-    acc = np.zeros(len(ns), dtype=table.dtype)
-    residues = np.empty(_CHUNK, dtype=np.int64)
-    logk = np.empty(_CHUNK)
-    rows = [np.empty(_CHUNK) for _ in range(3)]
-    for ks, logps in prime_power_segments(max(Ms)):
+    plan = SievePlan(max(Ms))
+
+    def block_sums(start):
+        ks = plan.block_ks(start)
         cuts = np.searchsorted(ks, Ms, side="right").tolist()
+        acc = np.zeros(len(ns), dtype=table.dtype)
+        rows = [np.empty(min(ks.size, _CHUNK)) for _ in range(3)]
         for lo in range(0, ks.size, _CHUNK):
             k = ks[lo:lo + _CHUNK]
-            size = k.size
-            r = np.floor_divide(k, q, out=residues[:size])
+            r = k // q
             r *= q
             np.subtract(k, r, out=r)  # k % q, four times faster than %
             w = table[r]
-            w *= logps[lo:lo + size] / k
-            x = np.log(k, out=logk[:size])
-            prev, cur, spare = (row[:size] for row in rows)
+            x = np.log(k)
+            logp = plan.set_log_p(k, x.copy())
+            logp /= k
+            w *= logp
+            prev, cur, spare = (row[:k.size] for row in rows)
             prev.fill(0.0)
             cur.fill(1.0)
             for d in range(max(ns)):
@@ -145,7 +162,17 @@ def kernel_sums(ns, chi: DirichletCharacter, Ms) -> np.ndarray:
                     prev, cur, spare = cur, spare, prev
                 for i in at_degree.get(d, ()):
                     c = max(cuts[i] - lo, 0)  # the k <= M_i of the chunk
-                    acc[i] += w[:c] @ cur[:c]
+                    acc[i] += (w[:c] * cur[:c]).sum()
+        return acc
+
+    # imported here: it loads `logging`, about 5 ms and 0.5 MB that the
+    # commands which never sieve need not pay
+    from concurrent.futures import ThreadPoolExecutor
+
+    acc = np.zeros(len(ns), dtype=table.dtype)  # summed in block order
+    with ThreadPoolExecutor(_workers(len(plan.starts))) as pool:
+        for part in pool.map(block_sums, plan.starts):
+            acc += part
     return -acc.astype(complex)
 
 

@@ -181,7 +181,7 @@ def _tail_closed_form(n: int, T: float, q: int) -> float:
     bracket = (T * math.log(T) / (2 * math.pi)
                + (1 / math.pi + math.log(q / (2 * math.pi * math.e))) * T
                + 0.5)
-    return 3 * n * n / (2 * T * T) * bracket
+    return 1.5 * (n / T) ** 2 * bracket  # 2 T^2 would overflow past T = 1.3e154
 
 
 def tail_bound(n: int, T: float, q: int) -> float:

@@ -1,9 +1,12 @@
 """Arithmetic (prime-power) formula: Gamma-factor terms, kernel sum, truncation logic."""
 
 import math
+import os
+import sys
 from functools import lru_cache
 
 import mpmath
+import numpy as np
 import pytest
 
 from dirichlet_li import arith, primes
@@ -293,6 +296,24 @@ def test_kernel_sums_do_not_depend_on_chunk_size(monkeypatch, q, label):
             assert abs(a - b) <= 2e-13 * abs(a), (q, label, chunk, n)
             if chi.is_real:
                 assert b.imag == 0
+
+
+@pytest.mark.parametrize("q,label", [(3, 1), (5, 1), (60, 14)])
+def test_kernel_sums_do_not_depend_on_the_workers(monkeypatch, q, label):
+    monkeypatch.setattr(primes, "SEGMENT", 4099)  # 488 blocks
+    chi = character_by_label(q, label)
+    got = kernel_sums(SWEEP_NS, chi, WIDE_MS)
+    assert np.array_equal(kernel_sums(SWEEP_NS, chi, WIDE_MS), got)
+    # one worker folds the block sums in order; more workers than CPUs,
+    # switching threads often, finish the blocks out of order
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (1, (os.cpu_count() or 1) + 1):
+            monkeypatch.setattr(arith, "_workers", lambda jobs: workers)
+            assert np.array_equal(kernel_sums(SWEEP_NS, chi, WIDE_MS), got), workers
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_li_arith_is_one_element_sweep():

@@ -157,6 +157,27 @@ def test_power_of_two_alone_in_a_block(monkeypatch, segment):
     assert any(k.tolist() == [1024] for k, _ in blocks[1:])
 
 
+# the block edges of the two tests above: each odd power first or last in a
+# block, and 1024 alone in one
+STATELESS_CASES = [(power - (2 if place == "first" else 1), 3 * power)
+                   for power in ODD_POWERS for place in ("first", "last")]
+STATELESS_CASES += [(2, 1030), (3, 1030)]
+
+
+@pytest.mark.parametrize("segment,limit", STATELESS_CASES)
+def test_blocks_depend_only_on_the_plan(monkeypatch, segment, limit):
+    monkeypatch.setattr(primes, "SEGMENT", segment)
+    blocks = list(prime_power_segments(limit))
+    plan = primes.SievePlan(limit)
+    alone = [primes.SievePlan(limit).block(lo) for lo in plan.starts]
+    backwards = [plan.block(lo) for lo in reversed(plan.starts)][::-1]
+    for got in (alone, backwards):
+        assert len(got) == len(blocks)
+        for (k, lp), (k2, lp2) in zip(blocks, got):
+            assert k2.dtype == k.dtype and lp2.dtype == lp.dtype
+            assert np.array_equal(k2, k) and np.array_equal(lp2, lp)
+
+
 @settings(max_examples=40, deadline=None)
 @given(limit=st.integers(min_value=0, max_value=HYPOTHESIS_MAX_LIMIT),
        segment=st.integers(min_value=2, max_value=3 * 10 ** 5))

@@ -203,6 +203,16 @@ def test_tail_bound_guards():
         tail_bound(0, 100.0, 3)
 
 
+def test_tail_bound_past_where_2_T_squared_overflows():
+    # 2 T^2 leaves float64 at T = 1.3e154; (n / T)^2 is still 1e-310 here
+    T = 1e155
+    ref = mpmath.mpf(3) / (2 * mpmath.mpf(T) ** 2) * (
+        T * mpmath.log(T) / (2 * mpmath.pi)
+        + (1 / mpmath.pi + mpmath.log(3 / (2 * mpmath.pi * mpmath.e))) * T + 0.5)
+    assert 0 < tail_bound(1, T, 3) < math.inf
+    assert tail_bound(1, T, 3) == pytest.approx(float(ref), rel=1e-12)
+
+
 def test_tail_bound_decreasing_in_T():
     vals = [tail_bound(2, T, 60) for T in (100, 1000, 10000)]
     assert vals[0] > vals[1] > vals[2] > 0
