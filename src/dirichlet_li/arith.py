@@ -31,14 +31,14 @@ from .fastzeros import _im_log_gamma
 from .precision import PrecisionConfig, arith_precision
 from .primes import SievePlan, is_prime, prime_powers
 from .results import LiResult
-from .specfun import laguerre_L1, lambert_w_m1
+from .specfun import laguerre_L1
 
 # Below this bound the |E_M| estimate is not in its stated regime.
 _BOUND_MIN_M = 16
 
-# Prime powers per pass of `kernel_sums`: its three recurrence rows, log k
-# and the weights (about 0.6 MB) stay in a core's L2 cache.
-_CHUNK = 1 << 14
+# Prime powers per pass of `kernel_sums`: of 2^13 to 2^17, the length that
+# gave the `arith` workload its lowest wall time (BENCH_35.json).
+_CHUNK = 1 << 15
 
 
 def _workers(jobs: int) -> int:
@@ -116,8 +116,9 @@ def kernel_sums(ns, chi: DirichletCharacter, Ms) -> np.ndarray:
     the BLAS dot `@`: OpenBLAS threads a dot of more than 10^4 terms, which
     keeps a second core spinning and stalls when that core is busy.  The
     jobs run on a thread pool of one worker per CPU available to the process
-    (numpy releases the GIL in its loops), and their partial sums are added
-    in block order, so the value does not depend on the number of workers.
+    (on two CPUs, two workers took 0.65 of one's wall time and 1.05 of its
+    CPU time on the `arith` workload), and their partial sums are added in
+    block order, so the value does not depend on the number of workers.
     The recurrence is stable, and the truncation estimate 3 sqrt(n / M)
     stays orders of magnitude above the rounding of the sum.  Returns a
     complex128 array (imaginary parts 0 for a real character).
@@ -194,6 +195,22 @@ def error_bound_EM(n: int, M: int) -> float:
     return 3 * math.sqrt(n) / math.sqrt(M)
 
 
+def _w_m1(x: float) -> float:
+    """W_{-1}(x) on [-1/e, 0) in float64, -1 at the float -1/e: Halley's
+    iteration on log(1 - u) + u = log(-e x) for u = W + 1."""
+    d = math.e * ((x + 1 / math.e) - 1.2428753672788363e-17)  # 1 + e x, 1/e in two parts
+    if d <= 0:
+        return -1.0
+    rhs = 1 + math.log(-x)  # log(-e x)
+    u = rhs - math.log(1 - rhs)  # 1 + log(-x) - log(-log(-x)), close near 0
+    if d < 0.5:  # near the branch point: its series, and log(-e x) to an ulp
+        u, rhs = -math.sqrt(2 * d), math.log1p(-d)
+    for _ in range(3):
+        h = math.log1p(-u) + u - rhs
+        u += 2 * u * (1 - u) * h / (2 * u * u + h)
+    return u - 1
+
+
 def choose_M(n: int, nu: int) -> TruncationParams:
     """Cutoff M = 9 n 10^(2 nu), raised until the published estimate
     error_bound_EM(n, M) is below 10^-nu; that estimate does not bound |E_M|
@@ -206,16 +223,14 @@ def choose_M(n: int, nu: int) -> TruncationParams:
         raise ValueError("need n >= 1 and nu >= 0")
     if 9 * n * 100 ** min(nu, 9) >= 2 ** 62:  # nu >= 9 is past it at any n
         raise OutOfDomain(f"cutoff 9 n 10^(2 nu) reaches 2^62 at n={n}, nu={nu}")
-    target = 10.0 ** (-nu)
     candidate = None
     x = -(10.0 ** (-nu)) / math.sqrt(n)
     if x >= -1 / math.e:
-        w = float(lambert_w_m1(x))
+        w = _w_m1(x)
         candidate = math.ceil(n / 4 * w * w + 4 * n * 10.0 ** (2 * nu))
     M = math.ceil(9 * n * 10.0 ** (2 * nu))
-    if M >= _BOUND_MIN_M:
-        while error_bound_EM(n, M) >= target:
-            M += 1
+    while M >= _BOUND_MIN_M and error_bound_EM(n, M) >= 10.0 ** (-nu):
+        M += 1
     case = "m_plus_one_prime" if is_prime(M + 1) else "generic"
     return TruncationParams(M=M, nu=nu, bound_case=case, candidate_prime_M=candidate)
 

@@ -18,6 +18,7 @@ from dirichlet_li.characters import (character_by_label, enumerate_characters,
 from dirichlet_li.errors import ConductorOne, NotPrimitive, OutOfDomain
 from dirichlet_li.precision import arith_precision
 from dirichlet_li.primes import prime_powers
+from dirichlet_li.specfun import lambert_w_m1
 
 from conftest import binomial_term_oracle
 
@@ -203,6 +204,35 @@ def test_choose_M_refuses_cutoffs_past_the_int64_sieve(n, nu):
     # 9 n 10^(2 nu) >= 2^62: 9 * 10^18 at nu = 9, 4.68 * 10^18 at n = 52, nu = 8
     with pytest.raises(OutOfDomain, match="2\\^62"):
         choose_M(n, nu)
+
+
+def test_float_w_m1_matches_big_float():
+    # both give -1 at the branch point: the big-float one at -1/e to its
+    # precision, the float one at the float -1/e, which lies 1.2e-17 below
+    with mpmath.workprec(106):
+        branch = -mpmath.exp(-1)
+    assert lambert_w_m1(branch) == -1 and arith._w_m1(-1 / math.e) == -1.0
+    xs = [math.nextafter(-1 / math.e, 0)]
+    for _ in range(20):  # the floats next to the branch point
+        xs.append(math.nextafter(xs[-1], 0))
+    xs += [-math.exp(-1) * (1 - t) for t in np.logspace(-15, -0.01, 300)]
+    xs += (-np.logspace(math.log10(0.36), -300, 1000)).tolist()
+    for x in xs:
+        ref = float(lambert_w_m1(x))
+        assert abs(arith._w_m1(x) - ref) <= 4 * math.ulp(ref), x
+
+
+def test_candidate_prime_M_matches_big_float_w():
+    for nu in range(9):
+        for n in range(1, 301):
+            if 9 * n * 100 ** nu >= 2 ** 62:
+                break  # refused, as tested above
+            x = -(10.0 ** (-nu)) / math.sqrt(n)
+            expected = None
+            if x >= -1 / math.e:
+                w = float(lambert_w_m1(x))
+                expected = math.ceil(n / 4 * w * w + 4 * n * 10.0 ** (2 * nu))
+            assert choose_M(n, nu).candidate_prime_M == expected, (n, nu)
 
 
 # ----------------------------------------------------------------------------

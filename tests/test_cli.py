@@ -72,6 +72,33 @@ def test_module_entry_point_exits_with_the_command_status(argv, code):
         assert out.stdout.splitlines()[0].split()[0] == "label" and out.stderr == ""
 
 
+def test_cli_defers_the_thread_pool_to_the_sieve(q3_zero_file, tmp_path):
+    # `kernel_sums` imports concurrent.futures, which loads logging, only
+    # when it sieves: the commands that never sieve load neither
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
+    runs = [["zeros", "--q", "3", "--tmax", "40", "--out", str(tmp_path / "z.txt")],
+            ["table", "--name", "mod3", "--zeros", q3_zero_file, "--out",
+             str(tmp_path / "mod3.csv"), "--plot-script", str(tmp_path / "plot.py")],
+            ["li", "--q", "3", "--label", "1", "--method", "zeros", "--n", "1..4",
+             "--zeros", q3_zero_file, "--format", "csv"],
+            ["li", "--q", "3", "--label", "1", "--method", "arith", "--nu", "1",
+             "--n", "1..2", "--format", "csv"]]
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys\n"
+         "from dirichlet_li.cli import main\n"
+         f"for argv in {runs!r}:\n"
+         "    assert main(argv) == 0\n"
+         "    print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)), file=sys.stderr)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stderr.splitlines() == ["[]", "[]", "[]", "['concurrent.futures', 'logging']"]
+
+
 @pytest.mark.parametrize("argv", [
     [], ["--help"], ["bogus"], ["--q", "3"],
     *([command, "--help"] for command in ("characters", "zeros", "li", "compare", "table")),
