@@ -27,17 +27,16 @@ import numpy as np
 
 from .characters import DirichletCharacter
 from .errors import ConductorOne, NotPrimitive, OutOfDomain
-from .fastzeros import _im_log_gamma
 from .precision import PrecisionConfig, arith_precision
 from .primes import SievePlan, is_prime, prime_powers
 from .results import LiResult
-from .specfun import laguerre_L1
+from .specfun import _im_log_gamma, _w_m1, laguerre_L1
 
 # Below this bound the |E_M| estimate is not in its stated regime.
 _BOUND_MIN_M = 16
 
 # Prime powers per pass of `kernel_sums`: of 2^13 to 2^17, the length that
-# gave the `arith` workload its lowest wall time (BENCH_35.json).
+# gave the `arith` workload its lowest wall time.
 _CHUNK = 1 << 15
 
 
@@ -115,10 +114,9 @@ def kernel_sums(ns, chi: DirichletCharacter, Ms) -> np.ndarray:
     of the chunk.  That sum is numpy's pairwise `sum` of the product, not
     the BLAS dot `@`: OpenBLAS threads a dot of more than 10^4 terms, which
     keeps a second core spinning and stalls when that core is busy.  The
-    jobs run on a thread pool of one worker per CPU available to the process
-    (on two CPUs, two workers took 0.65 of one's wall time and 1.05 of its
-    CPU time on the `arith` workload), and their partial sums are added in
-    block order, so the value does not depend on the number of workers.
+    jobs run on a thread pool of one worker per CPU available to the process,
+    and their partial sums are added in block order, so the value does not
+    depend on the number of workers.
     The recurrence is stable, and the truncation estimate 3 sqrt(n / M)
     stays orders of magnitude above the rounding of the sum.  Returns a
     complex128 array (imaginary parts 0 for a real character).
@@ -193,22 +191,6 @@ def error_bound_EM(n: int, M: int) -> float:
         lm = math.log(M)
         return math.sqrt(n / lm) * (lm + 2) / math.sqrt(M)
     return 3 * math.sqrt(n) / math.sqrt(M)
-
-
-def _w_m1(x: float) -> float:
-    """W_{-1}(x) on [-1/e, 0) in float64, -1 at the float -1/e: Halley's
-    iteration on log(1 - u) + u = log(-e x) for u = W + 1."""
-    d = math.e * ((x + 1 / math.e) - 1.2428753672788363e-17)  # 1 + e x, 1/e in two parts
-    if d <= 0:
-        return -1.0
-    rhs = 1 + math.log(-x)  # log(-e x)
-    u = rhs - math.log(1 - rhs)  # 1 + log(-x) - log(-log(-x)), close near 0
-    if d < 0.5:  # near the branch point: its series, and log(-e x) to an ulp
-        u, rhs = -math.sqrt(2 * d), math.log1p(-d)
-    for _ in range(3):
-        h = math.log1p(-u) + u - rhs
-        u += 2 * u * (1 - u) * h / (2 * u * u + h)
-    return u - 1
 
 
 def choose_M(n: int, nu: int) -> TruncationParams:

@@ -16,7 +16,6 @@ principal character always has label 0.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -255,9 +254,8 @@ def enumerate_characters(q: int) -> list[DirichletCharacter]:
     """
     if q < 1:
         raise InvalidModulus("modulus must be a positive integer")
-    gen_orders, dlog = _group_structure(q)
-    return [_build_character(q, gen_orders, dlog, vec, label)
-            for label, vec in enumerate(itertools.product(*map(range, gen_orders)))]
+    count = math.prod(_group_structure(q)[0])
+    return [character_by_label(q, label) for label in range(count)]
 
 
 def character_by_label(q: int, label: int) -> DirichletCharacter:

@@ -24,43 +24,33 @@ N ~ t/4) beyond the (M, K) weights and a few M-long phase factors.  An
 ordinate is the midpoint of a float64 sign-change bracket no wider than
 1e-11, or than two float64 spacings above t = 2^15.  The Euler-Maclaurin
 truncation sits near 1e-13, but each direct phase t log m carries about one
-ulp of absolute error, so a scan's expansion and direct `z_values` differ by
-up to 4.3e-14 at t = 30, 2.5e-12 at t = 1500 and 1.9e-11 at t = 8600 (3.1,
-5.1 and 60.14, both half planes), nearly all of it direct Z's: the
-expansions correct the rounding of their first phase rows and of their
-centres (`leading_sum_taylor`).  The sign of a bracket end is not certain
-where |Z| is that small.  Tests compare Z and sampled zeros with the
+ulp of absolute error, so direct `z_values` errs by more, growing with t
+(README gives the measured spread), while a scan's expansions correct the
+rounding of their first phase rows and of their centres
+(`leading_sum_taylor`).  The sign of a bracket end is not certain where |Z|
+is that small.  Tests compare Z and sampled zeros with the
 mpmath `hardy_z` and `xi_value` in `lfunc`; nothing certifies them.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
 from .errors import PrincipalCharacter
-from .specfun import bernoulli
+from .specfun import _bernoulli_coeffs, _im_log_gamma
 
 # Bumped whenever a change to the finder can move the ordinates it returns;
 # caches of computed zero lists are keyed on it.
 FINDER_VERSION = 10
 
-_R_MAX = 40
 _NEWTON_TOL = 1e-11    # closed bracket width, or two float64 spacings above it
 _NEWTON_ITMAX = 80     # lockstep refinement passes at most
 _RESCUE_DEPTH = 32     # sub-cells of a grid cell holding a minimum of |Z|
 _CHUNK = 256           # rows of a run's phase block, at most
 _SLAB = 512            # terms m per product of a run's phase block and weights
 _SPAN = 8              # grid cells per expansion of a scan's leading sum
-
-
-@functools.cache
-def _bernoulli_coeffs() -> np.ndarray:
-    """B_{2r}/(2r)! as float64, r = 1.._R_MAX."""
-    return np.array([float(bernoulli(2 * r) / math.factorial(2 * r))
-                     for r in range(1, _R_MAX + 1)])
 
 
 def _order(x: float) -> int:
@@ -70,20 +60,6 @@ def _order(x: float) -> int:
         K += 1
         term *= x / K
     return K
-
-
-def _im_log_gamma(x, y: np.ndarray) -> np.ndarray:
-    """Im log Gamma(x + iy), x > 0 scalar or shaped like y: Stirling's series
-    to order 15 at x + 8 + iy less arg(x + j + iy), j < 8, where |y| < 8."""
-    near = np.abs(y) < 8
-    x = np.broadcast_to(x, near.shape)
-    w = x + 8 * near + 1j * y
-    # B_2k / (2k (2k-1)) = (B_2k / (2k)!) (2k-2)!, k = 8..1
-    c = _bernoulli_coeffs()[7::-1] * [math.factorial(k) for k in range(14, -1, -2)]
-    lg = np.asarray((w.real - 0.5) * np.angle(w) + y * (np.log(np.abs(w)) - 1)
-                    + (np.polyval(c, 1 / (w * w)) / w).imag)
-    lg[near] -= np.arctan2(y[near, None], x[near, None] + np.arange(8)).sum(axis=-1)
-    return lg
 
 
 def _split(a):
@@ -158,7 +134,7 @@ class FastLEvaluator:
         lx = np.log(x)
         b = _bernoulli_coeffs()
         # P_r / P_(r-1) = b_r (s+2r-1)(s+2r) / (b_(r-1) N^2); row 0 at the largest |t|
-        r = np.arange(1, _R_MAX)
+        r = np.arange(1, b.size)
         ts = np.append(np.max(np.abs(t), initial=0.0), t)[:, None]
         f = 4 * r * r - 0.25 - ts * ts + 4j * r * ts  # (s+2r-1)(s+2r)
         pr = np.cumprod(np.hstack([b[0] * (0.5 + 1j * ts) / N, f * (b[1:] / (b[:-1] * N * N))]),
@@ -279,12 +255,11 @@ class FastLEvaluator:
         next run's are built.  |log m - lam| <=
         lam, so K is `_order(x)`, x = radius lam, and for |d| <= radius the
         dropped orders are below 2^-64 sum |chi(m)| m^(-1/2); at |d| = radius
-        Horner's terms, and their rounding, can reach e^x times that sum (x is
-        3-5, K = 31-38, in the tables' scans at _SPAN = 8).  Each run's tail
-        comes from one interpolant (`_tail_taylor`) as a plain series of order
-        `_order(2 x)`, a Taylor series of the tail in its own right across the
-        span, carried into the frame by the series of e^(i d lam): the frame's
-        coefficient k reads its coefficients 0..k only.
+        Horner's terms, and their rounding, can reach e^x times that sum.
+        Each run's tail comes from one interpolant (`_tail_taylor`) as a plain
+        series of order `_order(2 x)`, a Taylor series of the tail in its own
+        right across the span, carried into the frame by the series of
+        e^(i d lam): the frame's coefficient k reads its coefficients 0..k only.
         Returns the (n, K + 1) complex coefficients, lam in the last column.
         """
         c = np.asarray(centres, dtype=np.float64)

@@ -1,20 +1,28 @@
-"""Big-float special functions backing the package's formulas.
+"""Special functions backing the package's formulas: big-float and float64.
 
 Hurwitz zeta, its pole-free part at s = 1, exact Bernoulli numbers, the
 Lambert W branch W_{-1} and log-Gamma are mpmath's, behind this package's
 domain checks and error types.  Chebyshev T (evaluated trigonometrically)
 and the associated Laguerre L^1 polynomials (by their upward recurrence) are
-evaluated here.  The float64 log-Gamma of the zero finder and of the
-arithmetic route's Gamma-factor terms is `fastzeros._im_log_gamma`.
+evaluated here.  Each float64 evaluator sits beside the big-float function
+its tests compare it with:
 
-All operations are pure.
+    _bernoulli_coeffs   B_2r / (2r)!, r <= 40   bernoulli
+    _w_m1               W_{-1}                  lambert_w_m1
+    _im_log_gamma       Im log Gamma            log_gamma (mpmath's loggamma)
+
+The zero finder reads the first and the last, the arithmetic route the last
+two, and the zero-sum height chooser `_w_m1`.  All operations are pure.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 
 from .errors import OutOfDomain, PoleAtOne
 from .precision import DEFAULT_PRECISION, GUARD_BITS, PrecisionConfig
@@ -25,6 +33,13 @@ def bernoulli(n: int) -> Fraction:
     if n < 0:
         raise ValueError("n must be >= 0")
     return Fraction(*mpmath.bernfrac(n))
+
+
+@functools.cache
+def _bernoulli_coeffs() -> np.ndarray:
+    """B_{2r}/(2r)! as float64, r = 1..40."""
+    return np.array([float(bernoulli(2 * r) / math.factorial(2 * r))
+                     for r in range(1, 41)])
 
 
 # ----------------------------------------------------------------------------
@@ -72,6 +87,22 @@ def lambert_w_m1(x, prec: PrecisionConfig = DEFAULT_PRECISION) -> mpmath.mpf:
         return min(mpmath.re(mpmath.lambertw(x, -1)), mpmath.mpf(-1))
 
 
+def _w_m1(x: float) -> float:
+    """W_{-1}(x) on [-1/e, 0) in float64, -1 at the float -1/e: Halley's
+    iteration on log(1 - u) + u = log(-e x) for u = W + 1."""
+    d = math.e * ((x + 1 / math.e) - 1.2428753672788363e-17)  # 1 + e x, 1/e in two parts
+    if d <= 0:
+        return -1.0
+    rhs = 1 + math.log(-x)  # log(-e x)
+    u = rhs - math.log(1 - rhs)  # 1 + log(-x) - log(-log(-x)), close near 0
+    if d < 0.5:  # near the branch point: its series, and log(-e x) to an ulp
+        u, rhs = -math.sqrt(2 * d), math.log1p(-d)
+    for _ in range(3):
+        h = math.log1p(-u) + u - rhs
+        u += 2 * u * (1 - u) * h / (2 * u * u + h)
+    return u - 1
+
+
 # ----------------------------------------------------------------------------
 # Chebyshev and Laguerre polynomials
 def chebyshev_T(n: int, x, prec: PrecisionConfig = DEFAULT_PRECISION) -> mpmath.mpf:
@@ -113,7 +144,7 @@ def laguerre_L1(n_minus_1: int, x, prec: PrecisionConfig = DEFAULT_PRECISION) ->
 
 
 # ----------------------------------------------------------------------------
-# log-Gamma -- used by the completed L-function
+# log-Gamma, and its imaginary part in float64
 
 def log_gamma(z, prec: PrecisionConfig = DEFAULT_PRECISION) -> mpmath.mpc:
     """Principal branch of log Gamma(z) away from the poles z = 0, -1, -2, ..."""
@@ -122,3 +153,17 @@ def log_gamma(z, prec: PrecisionConfig = DEFAULT_PRECISION) -> mpmath.mpc:
         if mpmath.re(z) <= 0 and mpmath.im(z) == 0 and mpmath.re(z) == mpmath.floor(mpmath.re(z)):
             raise OutOfDomain("log_gamma pole at nonpositive integer")
         return mpmath.mpc(mpmath.loggamma(z))
+
+
+def _im_log_gamma(x, y: np.ndarray) -> np.ndarray:
+    """Im log Gamma(x + iy), x > 0 scalar or shaped like y: Stirling's series
+    to order 15 at x + 8 + iy less arg(x + j + iy), j < 8, where |y| < 8."""
+    near = np.abs(y) < 8
+    x = np.broadcast_to(x, near.shape)
+    w = x + 8 * near + 1j * y
+    # B_2k / (2k (2k-1)) = (B_2k / (2k)!) (2k-2)!, k = 8..1
+    c = _bernoulli_coeffs()[7::-1] * [math.factorial(k) for k in range(14, -1, -2)]
+    lg = np.asarray((w.real - 0.5) * np.angle(w) + y * (np.log(np.abs(w)) - 1)
+                    + (np.polyval(c, 1 / (w * w)) / w).imag)
+    lg[near] -= np.arctan2(y[near, None], x[near, None] + np.arange(8)).sum(axis=-1)
+    return lg

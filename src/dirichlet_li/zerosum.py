@@ -16,15 +16,11 @@ accuracy for x_k exponentially close to 1, where T_n itself, arccos and the
 restart from 2 sin^2(a theta) at the multiple a of 128 below them.  A row
 costs one pass over the list per row from its restart, and memory is a few
 N-length arrays: each row is weighted and added by numpy's pairwise sum
-(Higham, SIAM J. Sci. Comput. 14 (1993)) as soon as it is formed.  On the
-stored 10^4-zero lists, n <= 1000, a term is within 2.1e-16 relative of an
-80-bit evaluation in the median and 1.0e-15 at the 99th percentile (away
-from the zeros of sin(n theta_k)); each sum is within 3 ulp of `math.fsum`
-of the same terms and within 3.6e-16 relative of a 128-bit evaluation, far
-below the truncation error.  The factor 2 presumes a
-conjugate-symmetric zero set (real chi, positive ordinates listed once);
-lists flagged symmetric=false (e.g. merged chi / conj(chi) spectra for a
-complex character) are summed without it.
+(Higham, SIAM J. Sci. Comput. 14 (1993)) as soon as it is formed.  The
+terms and sums round far below the truncation error (README has the figures).
+The factor 2 presumes a conjugate-symmetric zero set (real chi, positive
+ordinates listed once); lists flagged symmetric=false (e.g. merged chi /
+conj(chi) spectra for a complex character) are summed without it.
 
 Also here: the closed-form tail estimate with its Lambert-W height chooser,
 the partial-RH positivity report, and the two-term asymptotic model
@@ -36,14 +32,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 from .characters import DirichletCharacter
 from .errors import EmptyZeroList, NExceedsList, OutOfDomain, WDomainError
 from .lfunc import ZeroList
 from .results import LiResult
-from .specfun import lambert_w_m1
+from .specfun import _w_m1
 
 
 @dataclass(frozen=True)
@@ -224,7 +219,7 @@ def choose_T0(n: int, k_exp: int, q: int | None = None) -> float:
     if c == 0:
         raise OutOfDomain(f"(4 pi / 9 n^2) 10^-k underflows float64 at n={n}, k={k_exp}")
     if c <= 1 / math.e:
-        T0 = float(-lambert_w_m1(-c) / c)
+        T0 = -_w_m1(-c) / c
     elif q is not None:
         T0 = float(max(n, 3))
     else:
@@ -279,5 +274,5 @@ def asymptotic_model(n: int, q_or_chi) -> float:
     if n < 1:
         raise ValueError("need n >= 1")
     q = q_or_chi.modulus if isinstance(q_or_chi, DirichletCharacter) else float(q_or_chi)
-    c = 0.5 * (float(mpmath.euler) - 1) + 0.5 * math.log(q / math.pi)
+    c = 0.5 * (np.euler_gamma - 1) + 0.5 * math.log(q / math.pi)
     return 0.5 * n * math.log(n) + c * n

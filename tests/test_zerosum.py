@@ -10,6 +10,7 @@ import pytest
 from dirichlet_li.characters import character_by_label
 from dirichlet_li.errors import EmptyZeroList, NExceedsList, OutOfDomain, WDomainError
 from dirichlet_li.lfunc import ZeroList, ZeroRecord, find_zeros_merged
+from dirichlet_li.specfun import lambert_w_m1
 from dirichlet_li.zerosum import (_RESTART, PartialSumParams, _kernel, _tail_closed_form,
                                   asymptotic_model, choose_T0, li_zero_sum,
                                   partial_rh_report, tail_bound, zero_sum_prefix,
@@ -268,6 +269,31 @@ def test_choose_T0_post_check_doubles(n, k, doublings, height):
     assert T == pytest.approx(height, abs=0.05)
     assert tail_bound(n, T, 3) <= 3 * 10.0 ** -k
     assert tail_bound(n, T / 2, 3) == math.inf
+
+
+def test_choose_T0_needs_no_big_float_lambert_w(monkeypatch):
+    # the height comes from the float64 W_{-1}, with and without the q post-check
+    def refuse(*args, **kwargs):
+        raise AssertionError("mpmath.lambertw called")
+
+    monkeypatch.setattr(mpmath, "lambertw", refuse)
+    for n in (1, 2, 7, 300, 10 ** 6):
+        for k in (1, 2, 5, 24, 100):
+            assert math.isfinite(choose_T0(n, k))
+            for q in (3, 60):
+                assert choose_T0(n, k, q) >= choose_T0(n, k)
+
+
+def test_choose_T0_matches_big_float_w():
+    # T0 = -W_{-1}(-c)/c to 2 ulp, against W_{-1} and the division in big floats
+    for k in range(9):
+        for n in range(1, 301):
+            c = 4 * math.pi / (9 * n * n) * 10.0 ** (-k)
+            if c > 1 / math.e:
+                continue  # below the branch point, tested above
+            with mpmath.workprec(106):
+                ref = float(-lambert_w_m1(-c) / c)
+            assert abs(choose_T0(n, k) - ref) <= 2 * math.ulp(ref), (n, k)
 
 
 # ----------------------------------------------------------------------------
