@@ -11,16 +11,24 @@ Dirichlet sum and the Euler-Maclaurin tail at each height.  A scan reads
 Taylor expansions of L around centres (`leading_sum_taylor`), whose tail part
 comes off one Chebyshev interpolant per run of centres sharing one N; only
 they read it.  They expand e^(i d lam) L(c + d), lam = log(q n_max) / 2, a
-frame that centres the frequencies log m in [0, 2 lam], so the order covers
-x = radius lam.  A scan with grid step h (h log(q t_max) <= pi) expands
-around every 8-cell span's midpoint (_SPAN), to radius 4h, from phases
-doubled along them.  Every height is read from its span's expansion by
-Horner (`z_from_taylor`): the grid as one (spans, _SPAN) view against the
-spans' coefficients, with no coefficient row gathered per grid point, and
-rescue sub-grids and Newton steps through the span holding each point.
-Phases are formed and multiplied into the weights in slabs of _SLAB terms m,
-so the working memory does not grow with the sum's length (M = phi(q) N,
-N ~ t/4) beyond the (M, K) weights and a few M-long phase factors.  An
+frame that centres the frequencies log m in [0, 2 lam], so the order K covers
+x = radius lam.  The leading sum gets there one octave of m at a time
+(Odlyzko-Schonhage's frequency splitting, Trans. AMS 309 (1988)): each
+octave 2^b <= m < 2^(b+1) is expanded in its own frame, centred on the
+midpoint of its log m, to the order K_b = min(K, `_order(radius h_b)`) that
+the half-width h_b of its log m needs, and carried into the frame lam once
+per run of centres (`_carry`).  The octaves below the first of K terms or
+more, too short to repay a carry each, form one.  Where K is 31-38, K_b is
+15 or less, and 25-28 for that first octave (m < 64 to 256).  A scan with
+grid step h (h log(q t_max) <= pi) expands around every 8-cell span's
+midpoint (_SPAN), to radius 4h, from phases doubled along them.  Every
+height is read from its span's expansion by Horner (`z_from_taylor`): the
+grid as one (spans, _SPAN) view against the spans' coefficients, with no
+coefficient row gathered per grid point, and rescue sub-grids and Newton
+steps through the span holding each point.  Phases are formed and
+multiplied into the octaves' weights in slabs of _SLAB terms m, so the
+working memory does not grow with the sum's length (M = phi(q) N, N ~ t/4)
+beyond the octaves' (M, K_b) weights and a few M-long phase factors.  An
 ordinate is the midpoint of a float64 sign-change bracket no wider than
 1e-11, or than two float64 spacings above t = 2^15.  The Euler-Maclaurin
 truncation sits near 1e-13, but each direct phase t log m carries about one
@@ -43,7 +51,7 @@ from .specfun import _bernoulli_coeffs, _im_log_gamma
 
 # Bumped whenever a change to the finder can move the ordinates it returns;
 # caches of computed zero lists are keyed on it.
-FINDER_VERSION = 10
+FINDER_VERSION = 11
 
 _NEWTON_TOL = 1e-11    # closed bracket width, or two float64 spacings above it
 _NEWTON_ITMAX = 80     # lockstep refinement passes at most
@@ -60,6 +68,13 @@ def _order(x: float) -> int:
         K += 1
         term *= x / K
     return K
+
+
+def _carry(offset: float, rows: int, cols: int) -> np.ndarray:
+    """Row j, column k: the coefficient of d^(k - j) in e^(i d offset), so that
+    a series in d times it is the series times e^(i d offset), cut at cols."""
+    series = np.cumprod(np.append(1.0, 1j * offset / np.arange(1, max(rows, cols))))
+    return np.triu(series[np.abs(np.subtract.outer(np.arange(rows), np.arange(cols)))])
 
 
 def _split(a):
@@ -239,27 +254,42 @@ class FastLEvaluator:
         Euler-Maclaurin tail at the same N, in a frame whose carrier e^(-i d lam)
         centres the band of frequencies log m in [0, 2 lam].
 
-        S(t) = sum_m chi(m) m^(-1/2) e^(-i t log m) is entire, so
-        e^(i d lam) S(c + d) = sum_k coef[k] d^k with coef[k] = sum_m
-        e^(-i c log m) chi(m) m^(-1/2) (-i (log m - lam))^k / k!: per run of
-        r nb ascending centres spaced by `step` with one N, a complex phase
-        block times the (M, K) matrix of those weights, of which only the first
-        row, its doublings e^(-i 2^b step log m) and its shifts
-        e^(-i jr step log m) along the run, folded into the weights, are
-        evaluated; the first row's phases are corrected for their rounding
-        (`_phase_factors`).  Row i of a run is expanded at c_0 + i step, which
-        misses its float centre by that centre's rounding, about one ulp of c;
-        the series is moved there to first order.  The product is summed over
-        slabs of _SLAB terms m, so memory is the output, the weights,
-        O((log2 r + nb) M) phase factors and one slab, released before the
-        next run's are built.  |log m - lam| <=
-        lam, so K is `_order(x)`, x = radius lam, and for |d| <= radius the
-        dropped orders are below 2^-64 sum |chi(m)| m^(-1/2); at |d| = radius
-        Horner's terms, and their rounding, can reach e^x times that sum.
-        Each run's tail comes from one interpolant (`_tail_taylor`) as a plain
-        series of order `_order(2 x)`, a Taylor series of the tail in its own
-        right across the span, carried into the frame by the series of
-        e^(i d lam): the frame's coefficient k reads its coefficients 0..k only.
+        S(t) = sum_m chi(m) m^(-1/2) e^(-i t log m) is entire.  Its terms are
+        grouped by octave of m, floor(log2 m), each with a frame of its own:
+        the midpoint lam_b of the octave's log m and their half-width h_b.
+        The octaves below the first one of K terms or more form one: on so
+        few terms a frame's K - K_b saved orders cost less than its carry.
+        e^(i d lam_b) S_b(c + d) = sum_k G_b[k] d^k with G_b[k] = sum over
+        the octave of e^(-i c log m) chi(m) m^(-1/2) (-i (log m - lam_b))^k / k!,
+        kept for k < K_b = min(K, `_order(radius h_b)`): per run of r nb
+        ascending centres spaced by `step` with one N, a complex phase block
+        times the octave's real (m_b, K_b) weights (log m - lam_b)^k / k!, of
+        which only the first row, its doublings e^(-i 2^b step log m) and its
+        shifts e^(-i jr step log m) along the run, folded into the weights,
+        are evaluated; the first row carries chi(m) m^(-1/2) and its phases
+        are corrected for their rounding (`_phase_factors`), and (-i)^k is
+        folded into the octave's carry.  Each slab of _SLAB terms m is
+        multiplied by the weights of every octave it overlaps, into one
+        (r, nb K_b) accumulator per octave; the octaves do not depend on the
+        slabs, so the slab size moves only the rounding.  Once per run each
+        octave's series is carried into the frame lam by the series of
+        e^(i d (lam - lam_b)), cut at K (`_carry`), and the octaves summed.
+        Every |log m - lam| <= h_b + |lam - lam_b| <= lam, so K is
+        `_order(x)`, x = radius lam, as for one frame: for |d| <= radius the
+        orders an octave drops below K_b, those its carried series drops from
+        K on, and those one frame would drop are each below about 2^-64 sum
+        |chi(m)| m^(-1/2) over the octave, since radius h_b and
+        radius (h_b + |lam - lam_b|) are at most x; at |d| = radius Horner's
+        terms, and their rounding, can reach e^x times that sum.  Row i of a
+        run is expanded at c_0 + i step, which misses its float centre by that
+        centre's rounding, about one ulp of c; the series is moved there to
+        first order.  Memory is the output, the octaves' weights,
+        O((log2 r + nb) M) phase factors, one slab and the accumulators, each
+        run's released before the next run's are built.  Each run's tail
+        comes from one interpolant (`_tail_taylor`) as a plain series of order
+        `_order(2 x)`, a Taylor series of the tail in its own right across the
+        span, carried into the frame by the series of e^(i d lam): the
+        frame's coefficient k reads its coefficients 0..k only.
         Returns the (n, K + 1) complex coefficients, lam in the last column.
         """
         c = np.asarray(centres, dtype=np.float64)
@@ -268,13 +298,25 @@ class FastLEvaluator:
         K = _order(radius * lam)
         # the flattened sum of length phi(q)*N is a prefix of the longest one
         logm, amp = self._flat_coeffs(n_max)
-        w = np.empty((logm.size, K), dtype=np.complex128)
-        w[:, 0] = amp
-        np.divide(-1j * (logm[:, None] - lam), np.arange(1, K), out=w[:, 1:])
-        np.cumprod(w, axis=1, out=w)
-        # carry[j, k]: the coefficient of d^(k - j) in e^(i d lam)
-        carry = np.cumprod(np.append(1.0, 1j * lam / np.arange(1, K)))
-        carry = np.triu(carry[np.abs(np.subtract.outer(np.arange(K), np.arange(K)))])
+        # octave b holds the terms 2^b <= m < 2^(b+1), past the count of m
+        # below 2^b; those below the first octave of K terms or more form one
+        # octave, as a carry of theirs costs more than the orders it saves
+        below = 2 ** np.arange(int(logm[-1] / math.log(2)) + 2)
+        bounds = np.unique(np.minimum(self.residues.size * (below // self.q)
+                                      + np.searchsorted(self.residues, below % self.q), logm.size))
+        bounds = np.append(0, bounds[np.argmax(np.append(np.diff(bounds) >= K, True)):])
+        # per octave: its first and end term, the real weights (log m - lam_b)^k / k!
+        # and the carry from its frame, into which (-i)^k is folded
+        octaves = []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            centre, half = 0.5 * (logm[hi - 1] + logm[lo]), 0.5 * (logm[hi - 1] - logm[lo])
+            Kb = min(K, _order(radius * half))
+            w = np.ones((hi - lo, Kb))
+            np.divide(logm[lo:hi, None] - centre, np.arange(1, Kb), out=w[:, 1:])
+            np.cumprod(w, axis=1, out=w)
+            move = (-1j) ** np.arange(Kb)[:, None] * _carry(lam - centre, Kb, K)
+            octaves.append((lo, hi, w, move))
+        carry = _carry(lam, K, K)
         coef = np.empty((c.size, K + 1), dtype=np.complex128)
         coef[:, K] = lam
         # N at each run's largest |c| + radius; r ~ sqrt(K run)
@@ -292,9 +334,11 @@ class FastLEvaluator:
             doubling, shift = (np.exp(x, out=x) for x in (
                 np.multiply.outer(-1j * step * levels, lm),
                 np.multiply.outer(lm, -1j * (r * step) * np.arange(nb))))
-            first = _phase_factors(c[idx[0]], lm)
-            # the run's block times the weights, summed over slabs of _SLAB terms m
-            acc = np.zeros((r, nb * K), dtype=np.complex128)
+            first = _phase_factors(c[idx[0]], lm) * amp[:lm.size]
+            # the run's block times each octave's weights, summed over slabs of
+            # _SLAB terms m into one accumulator per octave below this run's N
+            accs = [np.zeros((r, nb * w.shape[1]), dtype=np.complex128)
+                    for a, _, w, _ in octaves if a < lm.size]
             blocks = np.empty(r * _SLAB, dtype=np.complex128)
             for lo in range(0, lm.size, _SLAB):
                 m = slice(lo, min(lo + _SLAB, lm.size))
@@ -302,15 +346,21 @@ class FastLEvaluator:
                 block[0] = first[m]
                 for b, n in enumerate(levels):
                     np.multiply(block[:n], doubling[b, m], out=block[n:2 * n])
-                acc += block @ (shift[m, :, None] * w[m, None, :]).reshape(-1, nb * K)
-            lead = acc.reshape(r, nb, K).swapaxes(0, 1).reshape(-1, K)[:idx.size]
+                for (a, z, w, _), acc in zip(octaves, accs):
+                    j, k = max(a, lo), min(z, m.stop)
+                    if j < k:
+                        acc += block[:, j - lo:k - lo] @ (
+                            shift[j:k, :, None] * w[j - a:k - a, None, :]).reshape(k - j, -1)
+            # each octave's expansions carried into the run's frame, and summed
+            lead = sum(acc.reshape(r * nb, -1) @ move for (*_, move), acc in zip(octaves, accs))
+            lead = lead.reshape(r, nb, K).swapaxes(0, 1).reshape(-1, K)[:idx.size]
             # row i is expanded at c_0 + i step, delta short of its float
             # centre: move it there, F(d) -> e^(-i delta lam) F(d + delta), to
             # first order in delta
             delta = (c[idx] - c[idx[0]] - np.arange(idx.size) * step)[:, None]
             lead[:, :-1] += delta * np.arange(1, K) * lead[:, 1:]
             coef[idx, :K] = lead * np.exp(-1j * lam * delta) + tail
-            del first, doubling, shift, acc, blocks, lead
+            del first, doubling, shift, accs, blocks, lead
         return coef
 
     def z_from_taylor(self, t, centres, coef, derivative: bool = True):

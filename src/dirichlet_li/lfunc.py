@@ -20,7 +20,7 @@ from .characters import DirichletCharacter
 from .errors import (CompletenessCheckFailed, ComplexCharacterUnsupported, ModulusMismatch,
                      NotPrimitive, ParseError, PrincipalCharacter)
 from .precision import DEFAULT_PRECISION, PrecisionConfig
-from .specfun import hurwitz_zeta, hurwitz_zeta_minus_pole, log_gamma
+from .specfun import _w_0, hurwitz_zeta, hurwitz_zeta_minus_pole, log_gamma
 
 # ----------------------------------------------------------------------------
 # values
@@ -93,7 +93,7 @@ def n_formula(T: float, chi_or_q) -> float:
 def height_for_count(q: int, count: int) -> float:
     """Height T where n_formula(T) = (T/2pi) log(qT/2pi e) reaches `count`:
     T = 2pi count / W_0(q count/e), clamped to n_formula's domain T >= 1."""
-    return max(1.0, 2 * math.pi * count / float(mpmath.lambertw(q * count / math.e).real))
+    return max(1.0, 2 * math.pi * count / _w_0(q * count / math.e))
 
 
 # ----------------------------------------------------------------------------

@@ -9,10 +9,12 @@ its tests compare it with:
 
     _bernoulli_coeffs   B_2r / (2r)!, r <= 40   bernoulli
     _w_m1               W_{-1}                  lambert_w_m1
+    _w_0                W_0                     mpmath's lambertw
     _im_log_gamma       Im log Gamma            log_gamma (mpmath's loggamma)
 
 The zero finder reads the first and the last, the arithmetic route the last
-two, and the zero-sum height chooser `_w_m1`.  All operations are pure.
+two, the zero-sum height chooser `_w_m1` and the zero-count height
+`lfunc.height_for_count` `_w_0`.  All operations are pure.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ def hurwitz_zeta_minus_pole(a, prec: PrecisionConfig = DEFAULT_PRECISION) -> mpm
 
 
 # ----------------------------------------------------------------------------
-# Lambert W, branch W_{-1}
+# Lambert W: the branch W_{-1}, and W_0 in float64
 
 def lambert_w_m1(x, prec: PrecisionConfig = DEFAULT_PRECISION) -> mpmath.mpf:
     """W_{-1}(x) for x in [-1/e, 0): the real branch with W <= -1."""
@@ -101,6 +103,17 @@ def _w_m1(x: float) -> float:
         h = math.log1p(-u) + u - rhs
         u += 2 * u * (1 - u) * h / (2 * u * u + h)
     return u - 1
+
+
+def _w_0(x: float) -> float:
+    """W_0(x) for x > 0 in float64: Halley's iteration on w e^w = x from
+    log(1 + x), or from log x - log log x above e."""
+    w = math.log(x) - math.log(math.log(x)) if x > math.e else math.log1p(x)
+    for _ in range(4):
+        ew = math.exp(w)
+        f = w * ew - x
+        w -= f / (ew * (w + 1) - (w + 2) * f / (2 * w + 2))
+    return w
 
 
 # ----------------------------------------------------------------------------

@@ -400,6 +400,22 @@ def test_cell_expansions_give_direct_z_on_the_grid(q, label, side):
             assert np.all(np.abs(z - direct[i]) <= 5e-15 * T + 1e-13), (span, T, side)
 
 
+def test_carry_composes_series_of_exponentials():
+    # _carry(a) is the series of e^(i d a): no shift is the identity, and two
+    # shifts compose to their sum, entry (j, k) within an ulp of each of the
+    # k - j + 1 products its sum adds, on a grid and at random offsets
+    K = 37
+    assert np.array_equal(fastzeros._carry(0.0, K, K), np.eye(K))
+    n = np.subtract.outer(np.arange(K), np.arange(K)).T  # k - j
+    inv_fact = np.array([1 / math.factorial(j) for j in range(K)])[np.abs(n)]
+    grid = [(a, b) for a in np.linspace(-5, 5, 21) for b in np.linspace(-5, 5, 21)]
+    for a, b in grid + list(np.random.default_rng(37).uniform(-5, 5, (200, 2))):
+        err = np.abs(fastzeros._carry(a, K, K) @ fastzeros._carry(b, K, K)
+                     - fastzeros._carry(a + b, K, K))
+        size = (abs(a) + abs(b)) ** np.maximum(n, 0) * inv_fact
+        assert np.all(err <= np.where(n >= 0, (n + 1) * 2.0 ** -52 * size, 0)), (a, b)
+
+
 @pytest.mark.parametrize("slab", [7, 4099])
 def test_leading_sums_do_not_depend_on_slab_size(slab, monkeypatch):
     # the phase product summed over slabs of 7 or 4099 terms m (the last one
@@ -587,6 +603,26 @@ def test_scan_expansions_carry_little_phase_rounding_at_high_heights(side, monke
     z = np.real(np.exp(1j * ev.theta(t.ravel())) * L).reshape(t.shape)
     err = np.abs(ev.z_from_taylor(t, centres, coef, derivative=False)[0] - z)
     assert np.all(err <= 0.1 * (5e-15 * T + 1e-13)), err.max()
+
+
+@pytest.mark.parametrize("q, label", [(3, 1), (5, 1)])
+def test_scan_expansions_give_direct_z_at_the_1e5_zero_height(q, label):
+    # the last 40 spans of a scan to the height of 10^5 zeros (T = 67,030
+    # for 3.1, 63,878 for 5.1; K = 37-38), where an octave's order falls
+    # furthest below K, read at their 360 grid heights against direct Z; both
+    # read 0.36 (3.1) and 0.61 (5.1) of the budget, nearly all of it direct
+    # Z's own phase rounding
+    chi = character_by_label(q, label)
+    T = height_for_count(q, 10 ** 5)
+    h = min(0.2, math.pi / math.log(q * T))
+    H = fastzeros._SPAN * h
+    spans = -(-math.ceil(T / h) // fastzeros._SPAN)
+    centres = (np.arange(spans - 40, spans) + 0.5) * H
+    ev = FastLEvaluator(chi)
+    coef = ev.leading_sum_taylor(centres, 0.5 * H, step=H)
+    t = centres[:, None] + np.arange(-4, 5) * h
+    z = ev.z_from_taylor(t, centres[:, None], coef[:, None], derivative=False)[0]
+    assert np.all(np.abs(z - ev.z_values(t.ravel()).reshape(t.shape)) <= 5e-15 * T + 1e-13)
 
 def _record_tail_runs(ev, monkeypatch):
     """Wrap ev._tail_taylor; returns the list of (centres, radius, N, output)

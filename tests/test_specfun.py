@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from dirichlet_li.errors import OutOfDomain, PoleAtOne
 from dirichlet_li.precision import PrecisionConfig
-from dirichlet_li.specfun import (bernoulli, chebyshev_T, hurwitz_zeta,
+from dirichlet_li.specfun import (_w_0, bernoulli, chebyshev_T, hurwitz_zeta,
                                   hurwitz_zeta_minus_pole, lambert_w_m1,
                                   laguerre_L1, log_gamma)
 
@@ -124,6 +124,20 @@ def test_lambert_w_against_bisection_oracle():
                     lo = mid
             oracle = (lo + hi) / 2
             assert abs(lambert_w_m1(x, PREC) - oracle) < 1e-30
+
+
+def test_float_w_0_matches_big_float():
+    # W_0(q count / e), the argument `lfunc.height_for_count` passes, for q up
+    # to 1000 and the 331 distinct counts of 400 log-spaced from 1 to 10^6,
+    # against mpmath's lambertw of the same float at 160 bits
+    qs = [1, 2, 3, 4, 5, 7, 20, 60, 97, 128, 499, 997, 1000]
+    counts = sorted({round(10 ** (6 * i / 399)) for i in range(400)})
+    with mpmath.workprec(160):
+        for q in qs:
+            for count in counts:
+                x = q * count / math.e
+                ref = float(mpmath.lambertw(x).real)
+                assert abs(_w_0(x) - ref) <= 2 * math.ulp(ref), (q, count)
 
 
 # ----------------------------------------------------------------------------
